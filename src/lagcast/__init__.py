@@ -22,7 +22,6 @@ from .errors import (
     DataError,
     DegenerateSampleError,
     FitError,
-    SingularSystemError,
     UndefinedMetricError,
 )
 from .harness import (

@@ -247,9 +247,10 @@ def _cmd_compare(v: dict) -> int:
 
 
 def _cmd_forecast(v: dict) -> int:
-    text = Path(v["model"]).read_text() if Path(v["model"]).exists() else None
-    if text is None:
-        raise DataError(f"model file {v['model']} does not exist")
+    try:
+        text = Path(v["model"]).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read model file {v['model']}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -130,6 +130,8 @@ def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = T
         if isinstance(value_column, str):
             raise ConfigError("named value_column requires has_header=True")
         col_index = int(value_column)
+    if col_index < 0:
+        raise DataError(f"{path}: column index must be >= 0, got {col_index}")
 
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")

@@ -19,10 +19,6 @@ class FitError(RuntimeError):
     """Model fitting or training failed."""
 
 
-class SingularSystemError(FitError):
-    """Normal equations are rank deficient beyond what jitter can absorb."""
-
-
 class DegenerateSampleError(ValueError):
     """Paired sample carries no usable signal for the requested test."""
 

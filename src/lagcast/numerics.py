@@ -1,10 +1,6 @@
-"""Dense linear algebra and optimization primitives.
+"""Optimization primitives: the RMSprop step and finite differences.
 
-Matrices are plain float64 numpy arrays.  The one piece with real policy
-in it is :func:`solve_spd`: normal-equation systems from high-degree
-polynomial bases can be close to rank deficient, and we would rather
-fail loudly (telling the caller to regularize) than hand back a solution
-dominated by roundoff.
+Arrays are plain float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,104 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import FitError, SingularSystemError
-
-# Jitter ladder for near-singular systems: base scale, growth, attempts.
-_JITTER_BASE = 1e-10
-_JITTER_GROWTH = 10.0
-_JITTER_RETRIES = 4
-# Unjittered factorizations are refused when the pivot spread says the
-# system has lost about half its digits (condition ~1/sqrt(eps)); a
-# half-solved answer is worse than an explicit refusal here.
-_PIVOT_RATIO_FLOOR = 1.49e-8
-# A jittered factorization counts only if its smallest pivot does not
-# scale with the jitter; doubling detects that with no matrix-specific
-# amplification assumptions.
-_JITTER_SCALING_LIMIT = 1.5
-
-
-def gram(m: np.ndarray) -> np.ndarray:
-    """M^T M, symmetrized so roundoff cannot leave it asymmetric."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise FitError("gram expects a 2-D matrix")
-    if not np.all(np.isfinite(m)):
-        raise FitError("gram: matrix has non-finite entries")
-    g = m.T @ m
-    return (g + g.T) / 2.0
-
-
-def _min_pivot(s: np.ndarray, jitter: float) -> tuple[np.ndarray, float] | None:
-    try:
-        lower = np.linalg.cholesky(s + jitter * np.eye(s.shape[0]) if jitter else s)
-    except np.linalg.LinAlgError:
-        return None
-    pivots = np.diag(lower) ** 2
-    return lower, float(pivots.min() / pivots.max())
-
-
-def _try_cholesky(s: np.ndarray, jitter: float) -> np.ndarray | None:
-    """Factor s + jitter*I; None when it fails or pivots are untrustworthy.
-
-    At jitter zero, a pivot spread worse than ~1/sqrt(eps) is refused as
-    numerically rank deficient.  With jitter, the factorization at the
-    doubled jitter is also computed: when the smallest pivot tracks the
-    jitter instead of the matrix, the direction it guards has no real
-    curvature and the attempt is refused.
-    """
-    base = _min_pivot(s, jitter)
-    if base is None:
-        return None
-    lower, ratio = base
-    if jitter == 0.0:
-        return None if ratio <= _PIVOT_RATIO_FLOOR else lower
-    doubled = _min_pivot(s, 2.0 * jitter)
-    if doubled is None:
-        return None
-    _, ratio2 = doubled
-    if ratio2 > _JITTER_SCALING_LIMIT * ratio:
-        return None
-    return lower
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray, ridge_lambda: float = 0.0) -> np.ndarray:
-    """Solve (a + ridge_lambda*I) x = b for symmetric positive definite a.
-
-    Uses Cholesky.  If the factorization fails or looks rank deficient,
-    retries with jitter 1e-10 * trace(a)/dim on the diagonal, escalating
-    tenfold up to four times, then raises SingularSystemError.  The error
-    is the caller's cue to raise ridge_lambda or shrink the model.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise FitError(f"solve_spd expects a square matrix, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise FitError(f"right-hand side shape {b.shape} does not match matrix dim {a.shape[0]}")
-    if ridge_lambda < 0:
-        raise FitError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise FitError("solve_spd: non-finite entries in system")
-
-    n = a.shape[0]
-    system = a + ridge_lambda * np.eye(n) if ridge_lambda > 0 else a
-
-    lower = _try_cholesky(system, 0.0)
-    jitter = _JITTER_BASE * float(np.trace(system)) / n
-    attempt = 0
-    while lower is None and attempt < _JITTER_RETRIES:
-        lower = _try_cholesky(system, jitter)
-        jitter *= _JITTER_GROWTH
-        attempt += 1
-    if lower is None:
-        raise SingularSystemError(
-            f"system of dim {n} is singular after {_JITTER_RETRIES} jitter retries; "
-            "raise ridge_lambda or reduce the model size"
-        )
-    y = solve_triangular(lower, b, lower=True)
-    return solve_triangular(lower.T, y, lower=False)
+from .errors import FitError
 
 
 @dataclass(frozen=True)

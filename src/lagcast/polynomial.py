@@ -1,9 +1,9 @@
 """Polynomial one-step forecaster over lag windows.
 
 The model expands each window of d lagged values into every monomial of
-total degree at most K, then fits the expansion weights by least squares
-on the normal equations.  Fitting is closed form; there is no iterative
-training loop.
+total degree at most K, then fits the expansion weights by one
+least-squares solve on the design matrix.  Fitting is closed form; there
+is no iterative training loop.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import WindowedDataset
-from .errors import ConfigError, DataError, FitError, SingularSystemError
-from .numerics import gram, solve_spd
+from .errors import ConfigError, DataError, FitError
 
 MODEL_SCHEMA_VERSION = 1
 DEFAULT_BASIS_CAP = 100_000
@@ -115,12 +114,16 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0,
         cap: int = DEFAULT_BASIS_CAP) -> PolynomialModel:
     """Closed-form least-squares fit of the monomial expansion.
 
-    Solves (M^T M + lambda I) w = M^T t by Cholesky.  When the design is
-    rank deficient at lambda = 0 (constant or exactly collinear windows)
-    the normal equations have no unique solution; we then fall back to
-    the minimum-norm least-squares solution and warn, since every
+    Minimizes |M w - t|^2 + lambda |w|^2 by an SVD-based least-squares
+    solve on the design itself, stacked over sqrt(lambda) I when
+    lambda > 0; forming M^T M would square its condition number.  When
+    the design is rank deficient at lambda = 0 (constant or exactly
+    collinear windows, or fewer rows than terms) the result is the
+    minimum-norm least-squares solution, with a warning, since every
     least-squares solution predicts identically on the training span.
     """
+    if not 0.0 <= ridge_lambda < math.inf:
+        raise FitError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
     basis = enumerate_monomials(data.window_d, degree_k, cap=cap)
     if len(data) < basis.count:
         warnings.warn(
@@ -134,20 +137,17 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0,
             f"design matrix for degree {degree_k} overflowed; "
             "rescale the series or lower the degree"
         )
-    try:
-        w = solve_spd(gram(m), m.T @ data.targets, ridge_lambda)
-    except SingularSystemError:
-        if ridge_lambda > 0:
-            raise FitError(
-                f"normal equations singular for degree {degree_k} even with "
-                f"ridge_lambda={ridge_lambda}; lower the degree"
-            ) from None
+    t = data.targets
+    if ridge_lambda > 0:
+        m = np.vstack([m, math.sqrt(ridge_lambda) * np.eye(basis.count)])
+        t = np.concatenate([t, np.zeros(basis.count)])
+    w, _, rank, _ = np.linalg.lstsq(m, t, rcond=None)
+    if rank < basis.count:
         warnings.warn(
-            f"normal equations singular for degree {degree_k}; "
+            f"design for degree {degree_k} has rank {rank} of {basis.count}; "
             "using the minimum-norm least-squares solution (raise ridge_lambda to silence)",
             stacklevel=2,
         )
-        w, *_ = np.linalg.lstsq(m, data.targets, rcond=None)
     if not np.all(np.isfinite(w)):
         raise FitError(f"fit for degree {degree_k} produced non-finite weights")
     return PolynomialModel(basis=basis, weights=w, ridge_lambda=float(ridge_lambda))
@@ -194,16 +194,22 @@ def from_json(text: str) -> PolynomialModel:
     for key in ("d", "K", "lambda", "exponents", "weights"):
         if key not in doc:
             raise DataError(f"model document missing field {key!r}")
-    basis = enumerate_monomials(int(doc["d"]), int(doc["K"]))
-    stored = tuple(tuple(int(p) for p in e) for e in doc["exponents"])
+    try:
+        basis = enumerate_monomials(int(doc["d"]), int(doc["K"]))
+        stored = tuple(tuple(int(p) for p in e) for e in doc["exponents"])
+        weights = np.array([float(w) for w in doc["weights"]])
+        ridge_lambda = float(doc["lambda"])
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"model document has a malformed field: {exc}") from exc
     if stored != basis.exponents:
         raise DataError("model exponents do not match the canonical basis for (d, K)")
-    weights = np.array([float(w) for w in doc["weights"]])
     if weights.size != basis.count:
         raise DataError(
             f"model has {weights.size} weights for a basis of {basis.count} terms"
         )
-    return PolynomialModel(basis=basis, weights=weights, ridge_lambda=float(doc["lambda"]))
+    if not np.all(np.isfinite(weights)):
+        raise DataError("model weights must be finite")
+    return PolynomialModel(basis=basis, weights=weights, ridge_lambda=ridge_lambda)
 
 
 def save(model: PolynomialModel, path: str | Path):

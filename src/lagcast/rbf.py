@@ -52,6 +52,8 @@ class RbfNetwork:
             raise DataError("centers must be finite")
         if not (np.all(np.isfinite(widths)) and np.all(widths > 0)):
             raise DataError("widths must be finite and strictly positive")
+        if not (np.all(np.isfinite(weights)) and np.isfinite(self.bias)):
+            raise DataError("out_weights and bias must be finite")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "out_weights", weights)
@@ -393,15 +395,17 @@ def from_json(text: str) -> RbfNetwork:
     for key in ("d", "centers", "widths", "out_weights", "bias"):
         if key not in doc:
             raise DataError(f"model document missing field {key!r}")
-    centers = np.array(doc["centers"], dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != int(doc["d"]):
+    try:
+        d = int(doc["d"])
+        centers = np.array(doc["centers"], dtype=np.float64)
+        widths = np.array(doc["widths"], dtype=np.float64)
+        out_weights = np.array(doc["out_weights"], dtype=np.float64)
+        bias = float(doc["bias"])
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"model document has a malformed field: {exc}") from exc
+    if centers.ndim != 2 or centers.shape[1] != d:
         raise DataError("centers shape does not match the declared window size")
-    return RbfNetwork(
-        centers=centers,
-        widths=np.array(doc["widths"], dtype=np.float64),
-        out_weights=np.array(doc["out_weights"], dtype=np.float64),
-        bias=float(doc["bias"]),
-    )
+    return RbfNetwork(centers=centers, widths=widths, out_weights=out_weights, bias=bias)
 
 
 def save(net: RbfNetwork, path: str | Path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lagcast import polynomial as poly
+from lagcast import rbf
 from lagcast.cli import main
 from lagcast.data import TimeSeries, load_csv, make_windows
 
@@ -28,7 +29,7 @@ def seasonal_csv(tmp_path, n=200):
     t = np.arange(n)
     rng = np.random.default_rng(0)
     # noise keeps the lag design full rank (a clean sinusoid plus trend
-    # spans only 4 dimensions, which would trip the singularity gate)
+    # spans only 4 dimensions, which would make the fit rank deficient)
     vals = 10.0 + np.sin(2 * np.pi * t / 12) + 0.01 * t + rng.normal(0, 0.05, n)
     return write_series(tmp_path / "series.csv", vals)
 
@@ -166,6 +167,67 @@ def test_forecast_rejects_foreign_json(tmp_path, capsys):
     assert "neither" in capsys.readouterr().err
 
 
+def test_sweep_negative_column_is_exit_3(tmp_path, capsys):
+    data = seasonal_csv(tmp_path)
+    assert main(["sweep", "--data", data, "--column", "-5"]) == 3
+    assert "column index" in capsys.readouterr().err
+
+
+def test_forecast_model_directory_is_exit_3(tmp_path, capsys):
+    model_dir = tmp_path / "models"
+    model_dir.mkdir()
+    data = seasonal_csv(tmp_path)
+    assert main(["forecast", "--model", str(model_dir), "--data", data,
+                 "--out", str(tmp_path / "p.csv")]) == 3
+    assert "cannot read model file" in capsys.readouterr().err
+
+
+def model_doc(kind, tmp_path):
+    """A valid polynomial ("poly") or RBF ("rbf") model document as a dict."""
+    if kind == "poly":
+        series = load_csv(seasonal_csv(tmp_path), "v")
+        return json.loads(poly.to_json(poly.fit(make_windows(series, 4), degree_k=1)))
+    net = rbf.RbfNetwork(centers=np.zeros((2, 4)), widths=np.ones(2),
+                         out_weights=np.ones(2), bias=0.0)
+    return json.loads(rbf.to_json(net))
+
+
+@pytest.mark.parametrize("kind, field, index, value", [
+    ("poly", "weights", 0, "abc"),
+    ("poly", "weights", 1, float("nan")),
+    ("poly", "lambda", None, [1]),
+    ("rbf", "out_weights", 0, float("nan")),
+    ("rbf", "bias", None, float("inf")),
+    ("rbf", "widths", 1, "wide"),
+], ids=["poly-text-weight", "poly-nan-weight", "poly-list-lambda",
+        "rbf-nan-out-weight", "rbf-inf-bias", "rbf-text-width"])
+def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
+                                              index, value):
+    doc = model_doc(kind, tmp_path)
+    if index is None:
+        doc[field] = value
+    else:
+        doc[field][index] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "p.csv"
+    code = main(["forecast", "--model", str(model), "--data", seasonal_csv(tmp_path),
+                 "--column", "v", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("data error")
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, lagcast; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_supplies_flags(tmp_path, capsys):
@@ -234,8 +296,6 @@ def test_compare_multi_seed_emits_suite(tmp_path, capsys):
 
 def test_compare_rbf_forecast_round_trip(tmp_path):
     # RBF model documents go through the same forecast subcommand
-    from lagcast import rbf
-
     data = seasonal_csv(tmp_path, n=120)
     series = load_csv(data, "v")
     windows = make_windows(series, 6)

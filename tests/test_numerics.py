@@ -1,21 +1,25 @@
-"""Dense solver, RMSprop step and finite differences.
+"""The least-squares solve in polynomial.fit, RMSprop step and finite differences.
 
-The solver tests run a second, independent route (numpy direct solve or a
-conjugate-gradient minimizer built from gradient information only) next to
-the Cholesky path; the two must agree.
+The solve tests run a second, independent route (numpy direct solve of
+the normal equations, a conjugate-gradient minimizer built from gradient
+information only, or numpy's lstsq on the raw design) next to fit; the
+two must agree.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from lagcast.errors import FitError, SingularSystemError
+from lagcast.data import TimeSeries, make_windows
+from lagcast.errors import FitError
+from lagcast.harness import windowed_split
 from lagcast.numerics import (
     RmspropState,
     finite_diff_gradient,
-    gram,
     rmsprop_step,
-    solve_spd,
 )
+from lagcast.polynomial import _design_matrix, fit, rolling_forecast
 
 
 def random_spd(rng, n, cond=100.0):
@@ -27,7 +31,7 @@ def random_spd(rng, n, cond=100.0):
 
 def cg_minimize(a, b, x0=None, tol=1e-14, max_iter=None):
     """Conjugate gradient on 0.5 x'Ax - b'x, descent directions built from
-    residual gradients only.  Independent oracle for solve_spd."""
+    residual gradients only.  Independent oracle for the fit's solve."""
     n = len(b)
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - a @ x
@@ -46,95 +50,80 @@ def cg_minimize(a, b, x0=None, tol=1e-14, max_iter=None):
     return x
 
 
-# ---------------------------------------------------------------------- gram
-
-def test_gram_identity():
-    assert np.array_equal(gram(np.eye(2)), np.eye(2))
-
-
-def test_gram_hand_case():
-    g = gram(np.array([[1.0, 2.0]]))
-    assert g.tolist() == [[1.0, 2.0], [2.0, 4.0]]
+def gaussian_windows(n, d, seed):
+    """Windows over iid N(0, 1) values: a well-conditioned design."""
+    values = np.random.default_rng(seed).standard_normal(n)
+    return make_windows(TimeSeries(name="g", values=values), d)
 
 
-def test_gram_exactly_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        g = gram(rng.standard_normal((17, 9)))
-        assert np.array_equal(g, g.T)
+def design_of(model, data):
+    return _design_matrix(model.basis, data.inputs)
 
 
-def test_gram_rejects_nonfinite():
-    with pytest.raises(FitError):
-        gram(np.array([[1.0, np.inf]]))
-
-
-# ----------------------------------------------------------------- solve_spd
-
-def test_solve_identity():
-    x = solve_spd(np.eye(2), np.array([3.0, 4.0]))
-    assert np.allclose(x, [3.0, 4.0], atol=1e-14)
-
-
-def test_solve_diagonal():
-    x = solve_spd(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
-    assert np.allclose(x, [1.0, 2.0], atol=1e-14)
-
-
-def test_solve_singular_errors_then_ridge_recovers():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    with pytest.raises(SingularSystemError):
-        solve_spd(a, b, ridge_lambda=0.0)
-    x = solve_spd(a, b, ridge_lambda=1.0)
-    # oracle: direct solve of the ridge system
-    assert np.allclose(x, np.linalg.solve(a + np.eye(2), b), atol=1e-12)
-
+# ------------------------------------------------ least-squares solve in fit
 
 def test_solve_residual_bound_up_to_dim_200():
-    rng = np.random.default_rng(42)
-    for n in (2, 7, 50, 200):
-        a = random_spd(rng, n, cond=1e4)
-        b = rng.standard_normal(n)
-        x = solve_spd(a, b)
-        resid = np.max(np.abs(a @ x - b))
+    for d, k in ((2, 1), (3, 2), (5, 3), (8, 3)):  # 3, 10, 56, 165 terms
+        data = gaussian_windows(1000, d, seed=42 + d)
+        model = fit(data, degree_k=k)
+        m = design_of(model, data)
+        b = m.T @ data.targets
+        resid = np.max(np.abs(m.T @ (m @ model.weights) - b))
         assert resid <= 1e-8 * (1.0 + np.max(np.abs(b)))
 
 
 def test_solve_matches_gradient_based_minimizer():
-    rng = np.random.default_rng(7)
-    for n in (3, 12, 40):
-        a = random_spd(rng, n, cond=300.0)
-        b = rng.standard_normal(n)
-        x = solve_spd(a, b)
-        x_gd = cg_minimize(a, b)
-        assert np.max(np.abs(x - x_gd)) <= 1e-6
+    for d, k in ((3, 1), (2, 2), (4, 2)):
+        data = gaussian_windows(500, d, seed=7 + d)
+        model = fit(data, degree_k=k)
+        m = design_of(model, data)
+        w_cg = cg_minimize(m.T @ m, m.T @ data.targets)
+        assert np.max(np.abs(model.weights - w_cg)) <= 1e-6
 
 
 def test_solve_ridge_equals_direct_shifted_solve():
     rng = np.random.default_rng(3)
-    a = random_spd(rng, 6)
-    b = rng.standard_normal(6)
+    values = np.sin(np.arange(300) / 4.0) + 0.1 * rng.standard_normal(300)
+    data = make_windows(TimeSeries(name="s", values=values), 3)
     lam = 0.75
-    x = solve_spd(a, b, ridge_lambda=lam)
-    assert np.allclose(x, np.linalg.solve(a + lam * np.eye(6), b), atol=1e-10)
+    model = fit(data, degree_k=2, ridge_lambda=lam)
+    m = design_of(model, data)
+    direct = np.linalg.solve(m.T @ m + lam * np.eye(m.shape[1]), m.T @ data.targets)
+    assert np.allclose(model.weights, direct, rtol=0.0, atol=1e-10)
 
 
 def test_solve_input_validation():
-    with pytest.raises(FitError):
-        solve_spd(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(FitError):
-        solve_spd(np.eye(2), np.ones(3))
-    with pytest.raises(FitError):
-        solve_spd(np.eye(2), np.ones(2), ridge_lambda=-0.1)
-    with pytest.raises(FitError):
-        solve_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+    data = gaussian_windows(50, 2, seed=0)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(FitError, match="ridge_lambda"):
+            fit(data, degree_k=1, ridge_lambda=lam)
 
 
-def test_solve_error_suggests_ridge():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(SingularSystemError, match="ridge_lambda"):
-        solve_spd(a, np.array([1.0, 1.0]))
+def test_solve_singular_warns_then_ridge_recovers():
+    # a constant series makes every lag column equal the constant column
+    data = make_windows(TimeSeries(name="c", values=np.full(20, 3.0)), 2)
+    with pytest.warns(UserWarning, match="minimum-norm.*ridge_lambda"):
+        fit(data, degree_k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(data, degree_k=1, ridge_lambda=1.0)
+    m = design_of(model, data)
+    direct = np.linalg.solve(m.T @ m + np.eye(3), m.T @ data.targets)
+    assert np.allclose(model.weights, direct, rtol=0.0, atol=1e-12)
+
+
+def test_solve_matches_lstsq_on_ill_conditioned_walk():
+    # 20k-point walk whose degree-2 normal equations are ill-conditioned
+    # enough that a jittered Cholesky solve once returned test RMSE 108.6
+    # where least squares gives 1.012
+    steps = np.random.default_rng([0, 2]).normal(0.02, 1.0, 19_999)
+    values = 1000.0 + np.concatenate([[0.0], np.cumsum(steps)])
+    train, test = windowed_split(TimeSeries(name="w", values=values), 8, 0.8)
+    model = fit(train, degree_k=2)
+    got = np.sqrt(np.mean((rolling_forecast(model, test) - test.targets) ** 2))
+    w_ref, *_ = np.linalg.lstsq(design_of(model, train), train.targets, rcond=None)
+    ref = np.sqrt(np.mean((design_of(model, test) @ w_ref - test.targets) ** 2))
+    assert got == pytest.approx(ref, rel=1e-6)
 
 
 # ------------------------------------------------------------------- rmsprop
