@@ -99,8 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.degrees or any(k < 1 for k in self.degrees):
             raise ConfigError(f"degrees must be a non-empty list of positive ints, got {self.degrees}")
-        if self.ridge_lambda < 0:
-            raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if not (0.0 < self.alpha < 1.0):

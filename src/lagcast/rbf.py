@@ -15,6 +15,7 @@ reached.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, FitError
-from .numerics import RmspropState, rmsprop_step
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -71,9 +71,10 @@ class RbfNetwork:
 class RbfTrainConfig:
     """Knobs for output-layer training and (optionally) growth.
 
-    target_mse and max_units only matter to grow_until_target.  use_bias
-    exists because the bias is redundant in principle (a wide unit can
-    absorb it) but cheap and stabilizing in practice, so it defaults on.
+    target_mse and max_units only matter to grow_until_target.
+    decay_rho and epsilon are the RMSprop smoothing knobs; they, the
+    learning rate and target_mse are checked once here, so the training
+    loop does not re-check them per step.
     """
 
     units: int = 24
@@ -85,7 +86,6 @@ class RbfTrainConfig:
     max_units: int | None = None
     decay_rho: float = 0.9
     epsilon: float = 1e-8
-    use_bias: bool = True
 
     def __post_init__(self):
         if self.units < 1:
@@ -94,12 +94,17 @@ class RbfTrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.target_mse is not None and self.target_mse <= 0:
-            raise ConfigError(f"target_mse must be positive, got {self.target_mse}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.target_mse is not None and not 0.0 < self.target_mse < math.inf:
+            raise ConfigError(f"target_mse must be finite and positive, got {self.target_mse}")
         if self.max_units is not None and self.max_units < 1:
             raise ConfigError(f"max_units must be >= 1, got {self.max_units}")
+        if not 0.0 <= self.decay_rho < 1.0:
+            raise ConfigError(f"decay_rho must be in [0, 1), got {self.decay_rho}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -155,18 +160,21 @@ def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     for _ in range(_KMEANS_MAX_ITER):
         d2 = np.sum((inputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        taken: set[int] = set()
-        for j in range(m):
-            members = inputs[assign == j]
-            if members.shape[0] > 0:
-                new_centers[j] = members.mean(axis=0)
-            else:
-                # revive an empty cluster at the currently worst-fit point
-                worst = np.argsort(d2[np.arange(n), assign])[::-1]
-                pick = next(int(i) for i in worst if int(i) not in taken)
-                taken.add(pick)
-                new_centers[j] = inputs[pick]
+        # bincount adds each cluster's rows in row order, so sum / count
+        # has the same bits as the mean of the cluster's member rows
+        counts = np.bincount(assign, minlength=m)
+        new_centers = np.column_stack([
+            np.bincount(assign, weights=inputs[:, k], minlength=m)
+            for k in range(inputs.shape[1])
+        ])
+        filled = counts > 0
+        new_centers[filled] /= counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            # revive each empty cluster, in index order, at the worst-fit
+            # points not already taken
+            worst = np.argsort(d2[np.arange(n), assign])[::-1]
+            new_centers[empty] = inputs[worst[:empty.size]]
         shift = float(np.linalg.norm(new_centers - centers))
         scale = float(np.linalg.norm(centers)) + 1e-12
         centers = new_centers
@@ -253,15 +261,36 @@ def loss_gradient(net: RbfNetwork, inputs: np.ndarray,
     return float(np.mean(err**2)), grad
 
 
+def rmsprop_step(params: np.ndarray, accum: np.ndarray, grads: np.ndarray,
+                 learning_rate: float, decay_rho: float, epsilon: float):
+    """One RMSprop update (Tieleman & Hinton, 2012), in place on params and accum.
+
+    accum <- rho * accum + (1 - rho) * g^2
+    params <- params - lr * g / (sqrt(accum) + eps)
+
+    The knobs are checked once by RbfTrainConfig; only the gradient,
+    which changes every step, is checked here.
+    """
+    if not np.isfinite(grads).all():
+        raise FitError("rmsprop_step: non-finite gradient (learning rate likely too high)")
+    accum *= decay_rho
+    accum += (1.0 - decay_rho) * grads**2
+    params -= learning_rate * grads / (np.sqrt(accum) + epsilon)
+
+
 def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
           widths: np.ndarray, config: RbfTrainConfig) -> tuple[RbfNetwork, TrainTrace]:
     """Fit the output layer by mini-batch RMSprop, centers and widths frozen.
 
     Batches are drawn by reshuffling the rows each epoch with the
     config seed, so a (data, config) pair always trains the same way.
-    After each epoch the MSE over the whole dataset is recorded; the
-    returned network carries the parameters of the best epoch seen
-    (earliest on ties), not necessarily the last.
+    The parameters (M weights, then the bias), the RMSprop accumulator
+    and the gradient are float64 arrays updated in place; the order of
+    every operation is kept so that results match an out-of-place
+    reference bit for bit (tests/test_rbf.py).  After each
+    epoch the MSE over the whole dataset is recorded; the returned
+    network carries the parameters of the best epoch seen (earliest on
+    ties), not necessarily the last.
     """
     inputs, targets = _check_training_data(inputs, targets)
     centers = np.asarray(centers, dtype=np.float64)
@@ -270,11 +299,14 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
         raise DataError("centers must be (M, d) with d matching the inputs")
     m = centers.shape[0]
     n = inputs.shape[0]
+    bs = config.batch_size
+    lr, rho, eps = config.learning_rate, config.decay_rho, config.epsilon
 
     phi = _activation_matrix(centers, widths, inputs)
-    n_params = m + 1 if config.use_bias else m
-    params = np.zeros(n_params)
-    state = RmspropState.zeros(n_params, config.decay_rho, config.epsilon)
+    params = np.zeros(m + 1)
+    accum = np.zeros(m + 1)
+    grad = np.empty(m + 1)
+    w = params[:m]  # a view: it follows the in-place updates
     rng = np.random.default_rng([config.seed, 0xB7])
 
     best_params = params.copy()
@@ -282,21 +314,15 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     history = np.empty(config.epochs)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            phi_b = phi[rows]
-            w = params[:m]
-            b = params[m] if config.use_bias else 0.0
-            err = phi_b @ w + b - targets[rows]
-            grad_w = 2.0 * phi_b.T @ err / rows.size
-            if config.use_bias:
-                grad = np.concatenate([grad_w, [2.0 * float(err.mean())]])
-            else:
-                grad = grad_w
-            state, params = rmsprop_step(state, params, grad, config.learning_rate)
-        w = params[:m]
-        b = params[m] if config.use_bias else 0.0
-        mse = float(np.mean((phi @ w + b - targets) ** 2))
+        phi_e, t_e = phi[order], targets[order]
+        for start in range(0, n, bs):
+            phi_b = phi_e[start:start + bs]
+            err = phi_b @ w + params[m] - t_e[start:start + bs]
+            size = err.size
+            grad[:m] = 2.0 * phi_b.T @ err / size
+            grad[m] = 2.0 * (err.sum() / size)
+            rmsprop_step(params, accum, grad, lr, rho, eps)
+        mse = float(np.mean((phi @ w + params[m] - targets) ** 2))
         if not np.isfinite(mse):
             raise FitError(
                 f"training loss became non-finite at epoch {epoch + 1}; "
@@ -307,11 +333,8 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
             best_mse = mse
             best_params = params.copy()
 
-    net = RbfNetwork(
-        centers=centers, widths=widths,
-        out_weights=best_params[:m],
-        bias=float(best_params[m]) if config.use_bias else 0.0,
-    )
+    net = RbfNetwork(centers=centers, widths=widths,
+                     out_weights=best_params[:m], bias=float(best_params[m]))
     trace = TrainTrace(epoch_mse=history, epochs_run=config.epochs,
                        final_units=m, stop_reason="epochs")
     return net, trace

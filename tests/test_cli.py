@@ -141,6 +141,24 @@ def test_bad_flag_value_is_exit_2(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda", "nan"],
+    ["compare", "--lambda", "inf"],
+    ["compare", "--rbf-lr", "nan"],
+    ["compare", "--rbf-lr", "inf"],
+    ["compare", "--rbf-target-mse", "nan", "--rbf-max-units", "8"],
+], ids=["sweep-lambda-nan", "compare-lambda-inf", "compare-lr-nan",
+        "compare-lr-inf", "compare-target-nan"])
+def test_non_finite_flag_is_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "report.txt"
+    code = main([*argv, "--data", seasonal_csv(tmp_path, n=120), "--column", "v",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error")
+    assert not out.exists()
+
+
 def test_unknown_flag_is_argparse_exit_2():
     r = run_cli("sweep", "--frobnicate", "1")
     assert r.returncode == 2

@@ -116,6 +116,9 @@ def test_config_validation():
         ExperimentConfig(source=src, alpha=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, train_fraction=1.0)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="ridge_lambda"):
+            ExperimentConfig(source=src, ridge_lambda=lam)
 
 
 def test_config_hash_stable_and_sensitive():

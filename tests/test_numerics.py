@@ -11,15 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_gradient
 from lagcast.data import TimeSeries, make_windows
 from lagcast.errors import FitError
 from lagcast.harness import windowed_split
-from lagcast.numerics import (
-    RmspropState,
-    finite_diff_gradient,
-    rmsprop_step,
-)
 from lagcast.polynomial import _design_matrix, fit, rolling_forecast
+from lagcast.rbf import rmsprop_step
 
 
 def random_spd(rng, n, cond=100.0):
@@ -128,49 +125,45 @@ def test_solve_matches_lstsq_on_ill_conditioned_walk():
 
 # ------------------------------------------------------------------- rmsprop
 
+RHO, EPS = 0.9, 1e-8  # the RbfTrainConfig defaults
+
+
 def test_rmsprop_hand_step():
-    state = RmspropState.zeros(1)
-    new_state, new_params = rmsprop_step(
-        state, np.array([0.0]), np.array([4.0]), learning_rate=0.1
-    )
-    assert new_state.accum[0] == pytest.approx(1.6, abs=1e-12)
-    assert new_params[0] == pytest.approx(-0.31623, abs=1e-5)
+    params, accum = np.array([0.0]), np.zeros(1)
+    rmsprop_step(params, accum, np.array([4.0]), 0.1, RHO, EPS)
+    assert accum[0] == pytest.approx(1.6, abs=1e-12)
+    assert params[0] == pytest.approx(-0.31623, abs=1e-5)
 
 
 def test_rmsprop_zero_gradient_only_decays_accum():
-    state = RmspropState(accum=np.array([2.0, 8.0]))
-    params = np.array([1.0, -1.0])
-    new_state, new_params = rmsprop_step(state, params, np.zeros(2), learning_rate=0.5)
-    assert np.array_equal(new_params, params)
-    assert np.allclose(new_state.accum, [1.8, 7.2], atol=1e-15)
+    params, accum = np.array([1.0, -1.0]), np.array([2.0, 8.0])
+    rmsprop_step(params, accum, np.zeros(2), 0.5, RHO, EPS)
+    assert np.array_equal(params, [1.0, -1.0])
+    assert np.allclose(accum, [1.8, 7.2], atol=1e-15)
 
 
 def test_rmsprop_equal_gradients_equal_updates():
-    state = RmspropState.zeros(2)
-    _, p = rmsprop_step(state, np.zeros(2), np.array([3.0, 3.0]), learning_rate=0.01)
+    p = np.zeros(2)
+    rmsprop_step(p, np.zeros(2), np.array([3.0, 3.0]), 0.01, RHO, EPS)
     assert p[0] == p[1]
 
 
-def test_rmsprop_is_pure():
-    state = RmspropState(accum=np.array([1.0]))
-    params = np.array([5.0])
-    grads = np.array([2.0])
-    rmsprop_step(state, params, grads, learning_rate=0.1)
-    assert state.accum[0] == 1.0 and params[0] == 5.0 and grads[0] == 2.0
+def test_rmsprop_updates_in_place():
+    params, accum, grads = np.array([5.0]), np.array([1.0]), np.array([2.0])
+    rmsprop_step(params, accum, grads, 0.1, RHO, EPS)
+    assert accum[0] == RHO * 1.0 + (1.0 - RHO) * 4.0
+    assert params[0] == 5.0 - 0.1 * 2.0 / (np.sqrt(accum[0]) + EPS)
+    assert grads[0] == 2.0
 
 
 def test_rmsprop_validation():
-    state = RmspropState.zeros(2)
-    with pytest.raises(FitError):
-        rmsprop_step(state, np.zeros(3), np.zeros(2), learning_rate=0.1)
-    with pytest.raises(FitError):
-        rmsprop_step(state, np.zeros(2), np.array([1.0, np.nan]), learning_rate=0.1)
-    with pytest.raises(FitError):
-        rmsprop_step(state, np.zeros(2), np.zeros(2), learning_rate=0.0)
-    with pytest.raises(FitError):
-        RmspropState(accum=np.array([1.0]), decay_rho=1.0)
-    with pytest.raises(FitError):
-        RmspropState(accum=np.array([-1.0]))
+    # the knobs are checked by RbfTrainConfig (tests/test_rbf.py); the step
+    # refuses a non-finite gradient before touching its arrays
+    for bad in (np.nan, np.inf):
+        params, accum = np.zeros(2), np.ones(2)
+        with pytest.raises(FitError, match="non-finite gradient"):
+            rmsprop_step(params, accum, np.array([1.0, bad]), 0.1, RHO, EPS)
+        assert np.array_equal(params, np.zeros(2)) and np.array_equal(accum, np.ones(2))
 
 
 def test_rmsprop_descends_convex_quadratic():
@@ -183,11 +176,11 @@ def test_rmsprop_descends_convex_quadratic():
         return 0.5 * x @ a @ x - b @ x
 
     x = rng.standard_normal(4)
-    state = RmspropState.zeros(4)
+    accum = np.zeros(4)
     prev = loss(x)
     for _ in range(1000):
         g = a @ x - b
-        state, x = rmsprop_step(state, x, g, learning_rate=1e-3)
+        rmsprop_step(x, accum, g, 1e-3, RHO, EPS)
         cur = loss(x)
         assert cur <= prev + 1e-12
         prev = cur

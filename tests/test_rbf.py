@@ -7,12 +7,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_gradient
+from lagcast import rbf
 from lagcast.data import make_windows, synth_seasonal
 from lagcast.errors import ConfigError, DataError
-from lagcast.numerics import finite_diff_gradient
 from lagcast.rbf import (
     RbfNetwork,
     RbfTrainConfig,
+    TrainTrace,
     batch_forward,
     fit_fixed,
     forward,
@@ -104,6 +106,62 @@ def test_centers_bad_m():
         init_centers(pts, m=0)
     with pytest.raises(ConfigError):
         init_centers(pts, m=6)
+
+
+def mask_loop_init_centers(inputs, m, seed):
+    """init_centers with the Lloyd update as a boolean mask per cluster.
+
+    Returns the centers and how many empty clusters were revived.
+    """
+    n = inputs.shape[0]
+    rng = np.random.default_rng([seed, 0xC3])
+    centers = np.empty((m, inputs.shape[1]))
+    centers[0] = inputs[rng.integers(n)]
+    sq = np.sum((inputs - centers[0]) ** 2, axis=1)
+    for j in range(1, m):
+        total = float(sq.sum())
+        if total <= 0.0:
+            centers[j] = inputs[rng.integers(n)]
+        else:
+            centers[j] = inputs[np.searchsorted(np.cumsum(sq / total), rng.random())]
+        sq = np.minimum(sq, np.sum((inputs - centers[j]) ** 2, axis=1))
+    revived = 0
+    for _ in range(100):
+        d2 = np.sum((inputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        taken = set()
+        for j in range(m):
+            members = inputs[assign == j]
+            if members.shape[0] > 0:
+                new_centers[j] = members.mean(axis=0)
+            else:
+                worst = np.argsort(d2[np.arange(n), assign])[::-1]
+                pick = next(int(i) for i in worst if int(i) not in taken)
+                taken.add(pick)
+                new_centers[j] = inputs[pick]
+                revived += 1
+        shift = float(np.linalg.norm(new_centers - centers))
+        scale = float(np.linalg.norm(centers)) + 1e-12
+        centers = new_centers
+        if shift / scale < 1e-6:
+            break
+    return centers, revived
+
+
+def test_centers_byte_equal_to_mask_loop_lloyd():
+    rng = np.random.default_rng(4)
+    spread = rng.standard_normal((300, 8)) * [1, 2, 3, 4, 5, 6, 7, 8]
+    # 6 distinct points and 10 centers: seeding repeats points, and the
+    # repeats start out as empty clusters that must be revived; tiling
+    # puts different points next to each other in the worst-fit order
+    repeats = np.tile(rng.standard_normal((6, 3)), (20, 1))
+    revived = 0
+    for pts, m, seed in ((spread, 12, 0), (spread, 1, 1), (repeats, 10, 1)):
+        want, r = mask_loop_init_centers(pts, m, seed)
+        revived += r
+        assert init_centers(pts, m, seed=seed).tobytes() == want.tobytes()
+    assert revived > 0
 
 
 # -------------------------------------------------------------------- widths
@@ -302,6 +360,67 @@ def test_train_diverging_rate_is_a_fit_error():
     assert np.all(np.isfinite(net.out_weights))
 
 
+def out_of_place_train(inputs, targets, centers, widths, config):
+    """train() as a copy-per-step loop: concatenated gradient, then
+    out-of-place accumulator and parameter updates.  The reference that
+    the in-place loop must match bit for bit."""
+    phi = np.exp(-np.sum((inputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+                 / (2.0 * widths[None, :] ** 2))
+    m, n = centers.shape[0], inputs.shape[0]
+    rho, eps, lr = config.decay_rho, config.epsilon, config.learning_rate
+    params, accum = np.zeros(m + 1), np.zeros(m + 1)
+    rng = np.random.default_rng([config.seed, 0xB7])
+    best, best_mse, history = params.copy(), np.inf, []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            phi_b = phi[rows]
+            err = phi_b @ params[:m] + params[m] - targets[rows]
+            grad = np.concatenate([2.0 * phi_b.T @ err / rows.size,
+                                   [2.0 * float(err.mean())]])
+            accum = rho * accum + (1.0 - rho) * grad**2
+            params = params - lr * grad / (np.sqrt(accum) + eps)
+        mse = float(np.mean((phi @ params[:m] + params[m] - targets) ** 2))
+        history.append(mse)
+        if mse < best_mse:
+            best_mse, best = mse, params.copy()
+    net = RbfNetwork(centers=centers, widths=widths, out_weights=best[:m],
+                     bias=float(best[m]))
+    return net, TrainTrace(epoch_mse=np.array(history), epochs_run=config.epochs,
+                           final_units=m, stop_reason="epochs")
+
+
+def assert_same_bits(got, want):
+    (net, trace), (ref_net, ref_trace) = got, want
+    assert trace.epoch_mse.tobytes() == ref_trace.epoch_mse.tobytes()
+    assert net.out_weights.tobytes() == ref_net.out_weights.tobytes()
+    assert np.float64(net.bias).tobytes() == np.float64(ref_net.bias).tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [8, 500], ids=["ragged-batch-8", "batch-over-n"])
+def test_train_bit_identical_to_out_of_place_loop(batch_size):
+    data = sinusoid_windows(n=111, d=6, noise=0.05, seed=4)  # 105 rows
+    centers = init_centers(data.inputs, m=10, seed=4)
+    widths = set_widths(centers)
+    cfg = RbfTrainConfig(units=10, batch_size=batch_size, epochs=30,
+                         learning_rate=0.02, seed=4)
+    args = (data.inputs, data.targets, centers, widths, cfg)
+    assert_same_bits(train(*args), out_of_place_train(*args))
+
+
+def test_grow_bit_identical_to_out_of_place_loop(monkeypatch):
+    data = sinusoid_windows(n=111, d=6, noise=0.05, seed=5)
+    cfg = RbfTrainConfig(units=4, batch_size=16, epochs=10, learning_rate=0.02,
+                         seed=5, target_mse=1e-9, max_units=7)
+    got = grow_until_target(data.inputs, data.targets, cfg)
+    monkeypatch.setattr(rbf, "train", out_of_place_train)
+    want = grow_until_target(data.inputs, data.targets, cfg)
+    assert got[0].n_units == want[0].n_units == 7
+    assert got[0].centers.tobytes() == want[0].centers.tobytes()
+    assert_same_bits(got, want)
+
+
 # ---------------------------------------------------------------- gradients
 
 def test_analytic_gradient_matches_finite_differences():
@@ -410,11 +529,17 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RbfTrainConfig(units=4, epochs=0)
     with pytest.raises(ConfigError):
-        RbfTrainConfig(units=4, learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        RbfTrainConfig(units=4, target_mse=0.0)
-    with pytest.raises(ConfigError):
         RbfTrainConfig(units=4, max_units=0)
+    bad_floats = {
+        "learning_rate": (0.0, math.nan, math.inf),
+        "target_mse": (0.0, math.nan, math.inf),
+        "decay_rho": (1.0, -0.1, math.nan),
+        "epsilon": (0.0, math.nan, math.inf),
+    }
+    for key, values in bad_floats.items():
+        for value in values:
+            with pytest.raises(ConfigError, match=key):
+                RbfTrainConfig(units=4, **{key: value})
 
 
 # ------------------------------------------------------------- serialization
