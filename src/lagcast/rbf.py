@@ -28,6 +28,7 @@ MODEL_SCHEMA_VERSION = 1
 
 _KMEANS_MAX_ITER = 100
 _KMEANS_REL_TOL = 1e-6
+_ROW_BLOCK = 512  # rows per block of _sq_dists' (block, M, d) temporary
 _MIN_WIDTH = 1e-6
 _GROW_START_UNITS = 4
 
@@ -133,11 +134,77 @@ def _check_training_data(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.nd
     return inputs, targets
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2), bit for bit.
+
+    Rows of a are taken _ROW_BLOCK at a time through one reused buffer,
+    which bounds the temporary at _ROW_BLOCK x M x d.  numpy reduces each
+    row's contiguous length-d axis on its own, so blocking changes no bits.
+    """
+    n = a.shape[0]
+    out = np.empty((n, b.shape[0]))
+    buf = np.empty((min(n, _ROW_BLOCK),) + b.shape)
+    for start in range(0, n, _ROW_BLOCK):
+        blk = buf[:min(_ROW_BLOCK, n - start)]
+        np.subtract(a[start:start + _ROW_BLOCK, None, :], b, blk)
+        np.square(blk, blk)
+        blk.sum(axis=2, out=out[start:start + _ROW_BLOCK])
+    return out
+
+
+def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
+                    centers: np.ndarray) -> np.ndarray:
+    """Per row, np.argmin(_sq_dists(inputs, centers), axis=1), bit for bit.
+
+    x_norm2 holds the squared row norms of inputs.  Rows whose GEMM screen
+    cannot prove the argmin are decided by the direct sums.
+    """
+    n, d = inputs.shape
+    if centers.shape[0] == 1:
+        return np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
+    # Overflow and inf - inf only make a gap inf or NaN, and such rows
+    # are rechecked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_norm2 = np.sum(centers ** 2, axis=1)
+        g = inputs @ (-2.0 * centers).T
+        g += x_norm2[:, None]
+        g += c_norm2
+        assign = np.argmin(g, axis=1)
+        best = g[rows, assign]
+        g[rows, assign] = np.inf
+        gap = g.min(axis=1) - best
+        # Why a row that clears the bound is certain (u = eps/2 and
+        # s = |x| + max|c|): the screen's squared norms err by at most
+        # d*u*|x|^2 and d*u*|c|^2, its dot product by 2*d*u*|x||c| (Higham
+        # 2002, sec. 3.1; scaling by -2 is exact), its two additions by
+        # u*s^2 each.  The direct sum of d squares of rounded differences
+        # errs by at most (d+2)*u*s^2.  So both lie within (d+3)*u*s^2 of
+        # the exact |x - c|^2, and where the runner-up exceeds the best by
+        # more than 4*(d+3)*u*s^2 = 2*(d+3)*eps*s^2, every other center's
+        # direct sum exceeds the best one's: the direct argmin picks the
+        # same index.  The factor 8 leaves a 4x margin; `tiny` covers the
+        # absolute error of products that underflow.
+        finfo = np.finfo(np.float64)
+        bound = 8 * (d + 3) * finfo.eps * (
+            np.sqrt(x_norm2) + math.sqrt(c_norm2.max())) ** 2 + finfo.tiny
+        unsure = np.flatnonzero(~((gap > bound) & (gap < np.inf)))
+    if unsure.size:
+        assign[unsure] = np.argmin(_sq_dists(inputs[unsure], centers), axis=1)
+    return assign
+
+
 def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     """k-means centers over the input rows, k-means++ seeded, Lloyd refined.
 
     Deterministic per seed.  Runs at most 100 Lloyd iterations, stopping
-    early once the relative center movement drops below 1e-6.
+    early once the relative center movement drops below 1e-6.  Each
+    iteration assigns a row to the center with the smallest directly
+    summed squared distance (the lowest index on ties).  A GEMM screen,
+    |x|^2 - 2 x.c + |c|^2, settles every row whose nearest center it can
+    prove within a dot-product rounding bound; the other rows are
+    rechecked with the direct sums, so the assignments, and the centers,
+    are those of the direct computation bit for bit.
     """
     inputs, _ = _check_training_data(inputs, np.zeros(np.asarray(inputs).shape[0]))
     n = inputs.shape[0]
@@ -157,9 +224,10 @@ def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
             centers[j] = inputs[np.searchsorted(np.cumsum(sq / total), rng.random())]
         sq = np.minimum(sq, np.sum((inputs - centers[j]) ** 2, axis=1))
 
+    with np.errstate(over="ignore"):  # an overflowed norm sends its row to the recheck
+        x_norm2 = np.sum(inputs ** 2, axis=1)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = np.sum((inputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(d2, axis=1)
+        assign = _nearest_center(inputs, x_norm2, centers)
         # bincount adds each cluster's rows in row order, so sum / count
         # has the same bits as the mean of the cluster's member rows
         counts = np.bincount(assign, minlength=m)
@@ -173,7 +241,7 @@ def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
         if empty.size:
             # revive each empty cluster, in index order, at the worst-fit
             # points not already taken
-            worst = np.argsort(d2[np.arange(n), assign])[::-1]
+            worst = np.argsort(np.sum((inputs - centers[assign]) ** 2, axis=1))[::-1]
             new_centers[empty] = inputs[worst[:empty.size]]
         shift = float(np.linalg.norm(new_centers - centers))
         scale = float(np.linalg.norm(centers)) + 1e-12
@@ -202,8 +270,7 @@ def set_widths(centers: np.ndarray, neighbor_p: int = 2,
     if m == 1:
         widths = np.zeros(1)
     else:
-        dist = np.sqrt(np.maximum(np.sum(
-            (centers[:, None, :] - centers[None, :, :]) ** 2, axis=2), 0.0))
+        dist = np.sqrt(np.maximum(_sq_dists(centers, centers), 0.0))
         np.fill_diagonal(dist, np.inf)
         p = min(neighbor_p, m - 1)
         nearest = np.sort(dist, axis=1)[:, :p]
@@ -221,7 +288,7 @@ def set_widths(centers: np.ndarray, neighbor_p: int = 2,
 
 def _activation_matrix(centers: np.ndarray, widths: np.ndarray,
                        inputs: np.ndarray) -> np.ndarray:
-    sq = np.sum((inputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    sq = _sq_dists(inputs, centers)
     return np.exp(-sq / (2.0 * widths[None, :] ** 2))
 
 

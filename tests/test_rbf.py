@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -156,12 +157,33 @@ def test_centers_byte_equal_to_mask_loop_lloyd():
     # repeats start out as empty clusters that must be revived; tiling
     # puts different points next to each other in the worst-fit order
     repeats = np.tile(rng.standard_normal((6, 3)), (20, 1))
+    # |x|^2 - 2 x.c + |c|^2 near 8e14 is rounded to 1/8, coarser than the
+    # gaps between near-tied centers, so init_centers' GEMM screen alone
+    # would assign some of these rows elsewhere than the direct sums
+    offset = 1e7 + rng.standard_normal((400, 8))
+    # a lattice of step 0.1 with repeated rows: many rows tie exactly
+    # between centers in the direct sums, but not in the screen
+    lattice = 0.1 * rng.integers(0, 3, (300, 4))
+    # the screen's squared norms overflow to inf, the direct sums do not
+    far = 1e154 + spread * 1e150
+    # the screen and the direct sums both overflow to inf
+    huge = spread * 1e160
     revived = 0
-    for pts, m, seed in ((spread, 12, 0), (spread, 1, 1), (repeats, 10, 1)):
+    for pts, m, seed in ((spread, 12, 0), (spread, 1, 1), (repeats, 10, 1),
+                         (offset, 12, 0), (lattice, 9, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # init_centers warns on none of these
+            got = init_centers(pts, m, seed=seed)
         want, r = mask_loop_init_centers(pts, m, seed)
         revived += r
-        assert init_centers(pts, m, seed=seed).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
     assert revived > 0
+    # the convergence test's norm of the centers overflows on both, and
+    # the seeding on huge; those warn in the reference too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pts, m, seed in ((far, 12, 0), (huge, 10, 3)):
+            want, _ = mask_loop_init_centers(pts, m, seed)
+            assert init_centers(pts, m, seed=seed).tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------------- widths
@@ -237,6 +259,22 @@ def test_activation_bounds():
     for _ in range(50):
         a = hidden_activations(net, rng.standard_normal(3) * 10)
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
+
+
+def test_blocked_activations_byte_equal_to_direct_expression():
+    # two full row blocks and a ragged third
+    rng = np.random.default_rng(7)
+    net = RbfNetwork(
+        centers=rng.standard_normal((7, 8)) * 3,
+        widths=np.abs(rng.standard_normal(7)) + 0.5,
+        out_weights=rng.standard_normal(7),
+        bias=0.2,
+    )
+    x = rng.standard_normal((2 * rbf._ROW_BLOCK + 7, 8)) * 3
+    sq = np.sum((x[:, None, :] - net.centers[None, :, :]) ** 2, axis=2)
+    phi = np.exp(-sq / (2.0 * net.widths[None, :] ** 2))
+    assert rbf._activation_matrix(net.centers, net.widths, x).tobytes() == phi.tobytes()
+    assert batch_forward(net, x).tobytes() == (phi @ net.out_weights + net.bias).tobytes()
 
 
 # ------------------------------------------------------------------- forward
