@@ -7,12 +7,10 @@ harness with a CLI.
 """
 
 from .data import (
-    SplitSpec,
     TimeSeries,
     WindowedDataset,
     load_csv,
     make_windows,
-    split_train_test,
     synth_ar,
     synth_random_walk,
     synth_seasonal,
@@ -43,9 +41,7 @@ from .polynomial import (
     PolynomialModel,
     basis_size,
     enumerate_monomials,
-    expand,
     fit,
-    predict,
     rolling_forecast,
 )
 from .rbf import (
@@ -54,9 +50,7 @@ from .rbf import (
     TrainTrace,
     batch_forward,
     fit_fixed,
-    forward,
     grow_until_target,
-    hidden_activations,
     init_centers,
     set_widths,
     train,

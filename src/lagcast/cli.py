@@ -18,10 +18,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import polynomial as poly
 from . import rbf
 from .data import load_csv, make_windows
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, UndefinedMetricError
 from .harness import (
     ComparisonSuite, CsvSource, ExperimentConfig, SynthSource, render_report,
     resolve_source, run_comparison, run_comparison_suite, run_degree_sweep,
@@ -183,9 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str):
     if out:
-        Path(out).write_text(text + "\n")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -198,7 +207,7 @@ def _cmd_synth(v: dict) -> int:
     series = resolve_source(SynthSource(kind=v["kind"], n=v["n"],
                                         seed=v["seed"], params=params))
     lines = ["t,v"] + [f"{i},{float(val)!r}" for i, val in enumerate(series.values)]
-    Path(v["out"]).write_text("\n".join(lines) + "\n")
+    _write(v["out"], "\n".join(lines) + "\n")
     print(f"wrote {len(series)} points to {v['out']}")
     return 0
 
@@ -255,11 +264,12 @@ def _cmd_forecast(v: dict) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{v['model']} is not valid JSON: {exc}") from exc
-    if "exponents" in doc:
+    fields = doc if isinstance(doc, dict) else {}
+    if "exponents" in fields:
         model = poly.from_json(text)
         d = model.basis.window_d
         predict_all = lambda w: poly.rolling_forecast(model, w)
-    elif "centers" in doc:
+    elif "centers" in fields:
         net = rbf.from_json(text)
         d = net.window_d
         predict_all = lambda w: rbf.batch_forward(net, w.inputs)
@@ -268,9 +278,11 @@ def _cmd_forecast(v: dict) -> int:
     series = load_csv(v["data"], v["column"], has_header=not v["no_header"])
     windows = make_windows(series, d)
     preds = predict_all(windows)
+    if not np.all(np.isfinite(preds)):
+        raise DataError(f"{v['model']} gives non-finite forecasts on this series")
     lines = ["index,prediction"]
     lines += [f"{i + d},{float(p)!r}" for i, p in enumerate(preds)]
-    Path(v["out"]).write_text("\n".join(lines) + "\n")
+    _write(v["out"], "\n".join(lines) + "\n")
     print(f"wrote {len(preds)} predictions to {v['out']}")
     return 0
 
@@ -292,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, UndefinedMetricError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except FitError as exc:

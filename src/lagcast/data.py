@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +22,10 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A named 1-D series of float64 values, oldest first.
-
-    ``timestamps`` is optional bookkeeping for CSV round-trips; no
-    arithmetic is ever done on it.
-    """
+    """A named 1-D series of float64 values, oldest first."""
 
     name: str
     values: np.ndarray
-    timestamps: tuple[str, ...] | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -40,10 +35,6 @@ class TimeSeries:
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise DataError(f"series {self.name!r} has a non-finite value at index {bad}")
         object.__setattr__(self, "values", vals)
-        if self.timestamps is not None and len(self.timestamps) != vals.size:
-            raise DataError(
-                f"series {self.name!r}: {len(self.timestamps)} timestamps for {vals.size} values"
-            )
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -81,24 +72,12 @@ class WindowedDataset:
         return int(self.targets.size)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological split: first floor(n * train_fraction) points train, rest test."""
-
-    train_fraction: float = 0.8
-
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-
-
 def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = True) -> TimeSeries:
     """Read one value column from a comma-delimited text file.
 
-    Column may be named (requires a header) or a 0-based index.  Rows in
-    error messages are 1-based file lines, header included.  When the file
-    has exactly two columns and the value is the second, the first column
-    is kept as timestamps.
+    Column may be named (requires a header) or a 0-based index; every
+    other column is ignored.  Rows in error messages are 1-based file
+    lines, header included.
     """
     path = Path(path)
     try:
@@ -137,7 +116,6 @@ def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = T
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
 
     values = []
-    stamps = []
     for lineno, cells in rows:
         if col_index >= len(cells):
             raise DataError(f"{path}: row {lineno} has no column {col_index}")
@@ -149,11 +127,7 @@ def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = T
         if not math.isfinite(v):
             raise DataError(f"{path}: row {lineno}: non-finite value {cell!r}")
         values.append(v)
-        if len(cells) == 2 and col_index == 1:
-            stamps.append(cells[0])
-
-    timestamps = tuple(stamps) if len(stamps) == len(values) else None
-    return TimeSeries(name=path.stem, values=np.array(values), timestamps=timestamps)
+    return TimeSeries(name=path.stem, values=np.array(values))
 
 
 def make_windows(series: TimeSeries, d: int) -> WindowedDataset:
@@ -172,23 +146,6 @@ def make_windows(series: TimeSeries, d: int) -> WindowedDataset:
     v = series.values
     idx = np.arange(n - d)[:, None] + np.arange(d)[None, :]
     return WindowedDataset(window_d=d, inputs=v[idx], targets=v[d:])
-
-
-def split_train_test(series: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries]:
-    """Chronological split, no shuffling; concatenating the parts recovers the series."""
-    n = len(series)
-    n_train = int(math.floor(n * spec.train_fraction))
-    if n_train < 1 or n_train >= n:
-        raise DataError(
-            f"train_fraction={spec.train_fraction} leaves an empty side for n={n}"
-        )
-    ts = series.timestamps
-    return (
-        TimeSeries(series.name + ":train", series.values[:n_train],
-                   ts[:n_train] if ts else None),
-        TimeSeries(series.name + ":test", series.values[n_train:],
-                   ts[n_train:] if ts else None),
-    )
 
 
 def _check_common(n: int, noise_sd: float):

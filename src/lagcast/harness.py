@@ -133,6 +133,8 @@ def windowed_split(series: TimeSeries, d: int,
     few test windows reach back into the training span, which is the
     usual teacher-forced setup for one-step forecasts.
     """
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(series)
     n_train = int(math.floor(n * train_fraction))
     boundary = n_train - d  # index of the first test row

@@ -47,17 +47,21 @@ def basis_size(d: int, k: int) -> int:
     return math.comb(d + k, k)
 
 
-def enumerate_monomials(d: int, k: int, cap: int = DEFAULT_BASIS_CAP) -> MonomialBasis:
+def enumerate_monomials(d: int, k: int) -> MonomialBasis:
     """Build the canonical monomial basis for window size d and max degree k."""
     if d < 1:
         raise ConfigError(f"window size d must be >= 1, got {d}")
     if k < 1:
         raise ConfigError(f"degree k must be >= 1, got {k}")
-    total = basis_size(d, k)
-    if total > cap:
-        raise ConfigError(
-            f"basis for d={d}, K={k} has {total} terms, over the cap of {cap}"
-        )
+    # C(d + k, k) one factor at a time, so that a huge d and K stop at the
+    # cap rather than inside a long math.comb
+    total = 1
+    for i in range(1, min(d, k) + 1):
+        total = total * (max(d, k) + i) // i
+        if total > DEFAULT_BASIS_CAP:
+            raise ConfigError(
+                f"basis for d={d}, K={k} has more than {DEFAULT_BASIS_CAP} terms (the cap)"
+            )
     exps: list[tuple[int, ...]] = [(0,) * d]
     for degree in range(1, k + 1):
         for combo in combinations_with_replacement(range(d), degree):
@@ -95,14 +99,6 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray) -> np.ndarray:
     return m
 
 
-def expand(basis: MonomialBasis, x: np.ndarray) -> np.ndarray:
-    """Monomial feature vector of a single window, in canonical basis order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError("expand takes a single 1-D window")
-    return _design_matrix(basis, x[None, :])[0]
-
-
 @dataclass(frozen=True)
 class PolynomialModel:
     basis: MonomialBasis
@@ -110,8 +106,7 @@ class PolynomialModel:
     ridge_lambda: float = 0.0
 
 
-def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0,
-        cap: int = DEFAULT_BASIS_CAP) -> PolynomialModel:
+def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> PolynomialModel:
     """Closed-form least-squares fit of the monomial expansion.
 
     Minimizes |M w - t|^2 + lambda |w|^2 by an SVD-based least-squares
@@ -121,10 +116,11 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0,
     collinear windows, or fewer rows than terms) the result is the
     minimum-norm least-squares solution, with a warning, since every
     least-squares solution predicts identically on the training span.
+    A basis of more than DEFAULT_BASIS_CAP terms is a ConfigError.
     """
     if not 0.0 <= ridge_lambda < math.inf:
         raise FitError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
-    basis = enumerate_monomials(data.window_d, degree_k, cap=cap)
+    basis = enumerate_monomials(data.window_d, degree_k)
     if len(data) < basis.count:
         warnings.warn(
             f"{len(data)} training rows for {basis.count} basis terms; "
@@ -153,16 +149,12 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0,
     return PolynomialModel(basis=basis, weights=w, ridge_lambda=float(ridge_lambda))
 
 
-def predict(model: PolynomialModel, x: np.ndarray) -> float:
-    """Forecast the value following one window of true lags."""
-    return float(expand(model.basis, x) @ model.weights)
-
-
 def rolling_forecast(model: PolynomialModel, test: WindowedDataset) -> np.ndarray:
     """One-step-ahead forecasts for every test row.
 
     Each row of true lagged values yields one prediction; forecasts are
-    never fed back in, so errors cannot compound.
+    never fed back in, so errors cannot compound.  A single window is
+    forecast as a one-row dataset.
     """
     if test.window_d != model.basis.window_d:
         raise DataError(
@@ -189,6 +181,8 @@ def from_json(text: str) -> PolynomialModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"model document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("model document must be a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     for key in ("d", "K", "lambda", "exponents", "weights"):

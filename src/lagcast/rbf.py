@@ -251,39 +251,26 @@ def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     return centers
 
 
-def set_widths(centers: np.ndarray, neighbor_p: int = 2,
-               scale_hint: float | None = None) -> np.ndarray:
-    """Width per center: mean distance to its neighbor_p nearest peers.
+def set_widths(centers: np.ndarray, scale: float) -> np.ndarray:
+    """Width per center: mean distance to its 2 nearest peers (1 if M = 2).
 
     With a single center, or where duplicate centers make the mean
-    distance zero, the width falls back to a positive stand-in: the
-    scale_hint if the caller supplied one (train pipelines pass the
-    spread of the inputs), else the median of the well-defined widths,
-    floored at 1e-6.  Widths are never zero or NaN.
+    distance zero, the width falls back to scale (the training pipelines
+    pass the spread of the inputs), floored at 1e-6.  Widths are never
+    zero or NaN.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1:
         raise DataError("centers must be a non-empty (M, d) array")
-    if neighbor_p < 1:
-        raise ConfigError(f"neighbor_p must be >= 1, got {neighbor_p}")
     m = centers.shape[0]
     if m == 1:
         widths = np.zeros(1)
     else:
         dist = np.sqrt(np.maximum(_sq_dists(centers, centers), 0.0))
         np.fill_diagonal(dist, np.inf)
-        p = min(neighbor_p, m - 1)
-        nearest = np.sort(dist, axis=1)[:, :p]
+        nearest = np.sort(dist, axis=1)[:, :min(2, m - 1)]
         widths = nearest.mean(axis=1)
-    positive = widths[widths > 0]
-    if scale_hint is not None and scale_hint > 0:
-        fallback = max(_MIN_WIDTH, float(scale_hint))
-    elif positive.size:
-        fallback = max(_MIN_WIDTH, float(np.median(positive)))
-    else:
-        fallback = _MIN_WIDTH
-    widths = np.where(widths > 0, widths, fallback)
-    return widths
+    return np.where(widths > 0, widths, max(_MIN_WIDTH, float(scale)))
 
 
 def _activation_matrix(centers: np.ndarray, widths: np.ndarray,
@@ -292,21 +279,12 @@ def _activation_matrix(centers: np.ndarray, widths: np.ndarray,
     return np.exp(-sq / (2.0 * widths[None, :] ** 2))
 
 
-def hidden_activations(net: RbfNetwork, x: np.ndarray) -> np.ndarray:
-    """Gaussian response of every hidden unit to one window; values in (0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.window_d,):
-        raise DataError(f"expected a window of {net.window_d} values, got shape {x.shape}")
-    return _activation_matrix(net.centers, net.widths, x[None, :])[0]
-
-
-def forward(net: RbfNetwork, x: np.ndarray) -> float:
-    """Network output for one window: weighted hidden activations plus bias."""
-    return float(hidden_activations(net, x) @ net.out_weights + net.bias)
-
-
 def batch_forward(net: RbfNetwork, inputs: np.ndarray) -> np.ndarray:
-    """forward() over the rows of an (N, d) array."""
+    """Network output for each row of an (N, d) array.
+
+    Each output is the weighted hidden activations plus the bias; a
+    single window is forecast as a (1, d) array.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if inputs.shape[1] != net.window_d:
         raise DataError(f"expected windows of {net.window_d} values, got {inputs.shape[1]}")
@@ -418,7 +396,7 @@ def fit_fixed(inputs: np.ndarray, targets: np.ndarray,
     inputs, targets = _check_training_data(inputs, targets)
     m = min(config.units, inputs.shape[0])
     centers = init_centers(inputs, m, seed=config.seed)
-    widths = set_widths(centers, scale_hint=_input_scale(inputs))
+    widths = set_widths(centers, _input_scale(inputs))
     return train(inputs, targets, centers, widths, config)
 
 
@@ -446,7 +424,7 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
 
     history: list[np.ndarray] = []
     while True:
-        widths = set_widths(centers, scale_hint=scale)
+        widths = set_widths(centers, scale)
         net, trace = train(inputs, targets, centers, widths, config)
         history.append(trace.epoch_mse)
         if trace.best_mse <= config.target_mse:
@@ -480,6 +458,8 @@ def from_json(text: str) -> RbfNetwork:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"model document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("model document must be a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     for key in ("d", "centers", "widths", "out_weights", "bias"):

@@ -217,12 +217,19 @@ def model_doc(kind, tmp_path):
     ("rbf", "out_weights", 0, float("nan")),
     ("rbf", "bias", None, float("inf")),
     ("rbf", "widths", 1, "wide"),
+    ("poly", None, None, "exponents"),
+    ("poly", None, None, 1),
+    ("poly", "weights", 1, 1.7e308),
 ], ids=["poly-text-weight", "poly-nan-weight", "poly-list-lambda",
-        "rbf-nan-out-weight", "rbf-inf-bias", "rbf-text-width"])
+        "rbf-nan-out-weight", "rbf-inf-bias", "rbf-text-width",
+        "doc-string", "doc-number", "poly-overflowing-weight"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
                                               index, value):
     doc = model_doc(kind, tmp_path)
-    if index is None:
+    if field is None:  # the whole document is not an object
+        doc = value
+    elif index is None:
         doc[field] = value
     else:
         doc[field][index] = value
@@ -235,6 +242,40 @@ def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("data error")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_compare_zero_mean_test_span_is_exit_3(tmp_path, capsys):
+    # CV(RMSE) divides by the test span's mean, which is 0 here
+    data = write_series(tmp_path / "alt.csv", [1.0, -1.0] * 60)
+    out = tmp_path / "report.json"
+    code = main(["compare", "--data", data, "--column", "v", "--rbf-epochs", "2",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("data error")
+    assert "CV(RMSE)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep", "compare", "forecast"])
+def test_out_in_missing_directory_is_exit_2(tmp_path, capsys, command):
+    data = seasonal_csv(tmp_path, n=120)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(model_doc("poly", tmp_path)))
+    out = tmp_path / "missing" / "out.txt"
+    argv = {
+        "synth": ["--kind", "walk", "--n", "50"],
+        "sweep": ["--data", data, "--column", "v", "--degrees", "1"],
+        "compare": ["--data", data, "--column", "v", "--rbf-epochs", "2"],
+        "forecast": ["--model", str(model), "--data", data, "--column", "v"],
+    }[command]
+    code = main([command, *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
 
 
 def test_import_leaves_scipy_unloaded():

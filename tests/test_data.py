@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lagcast.data import (
-    SplitSpec,
     TimeSeries,
     WindowedDataset,
     load_csv,
     make_windows,
-    split_train_test,
     synth_ar,
     synth_random_walk,
     synth_seasonal,
 )
 from lagcast.errors import ConfigError, DataError
+from lagcast.harness import windowed_split
 
 
 def series(values, name="s"):
@@ -36,11 +35,6 @@ def test_timeseries_rejects_inf():
         series([1.0, float("inf")])
 
 
-def test_timeseries_timestamp_length_must_match():
-    with pytest.raises(DataError):
-        TimeSeries(name="s", values=np.array([1.0, 2.0]), timestamps=("a",))
-
-
 def test_timeseries_len():
     assert len(series([1, 2, 3])) == 3
 
@@ -55,11 +49,11 @@ def test_load_csv_named_column(tmp_path):
     assert ts.name == "a"
 
 
-def test_load_csv_captures_timestamps(tmp_path):
+def test_load_csv_indexed_second_column(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("date,v\n2020-01,5.0\n2020-02,6.5\n")
     ts = load_csv(p, value_column=1)
-    assert ts.timestamps == ("2020-01", "2020-02")
+    assert ts.values.tolist() == [5.0, 6.5]
 
 
 def test_load_csv_single_column_no_header(tmp_path):
@@ -168,45 +162,38 @@ def test_windows_reconstruct_the_series(values, d):
 # --------------------------------------------------------------------- split
 
 def test_split_80_20():
-    tr, te = split_train_test(series(range(100)), SplitSpec(0.8))
-    assert len(tr) == 80 and len(te) == 20
+    tr, te = windowed_split(series(range(100)), 1, 0.8)
+    # the first 80 points are the first window plus the training targets
+    assert len(tr) == 79 and len(te) == 20
+    assert tr.targets[-1] == 79.0 and te.targets[0] == 80.0
 
 
 def test_split_preserves_order():
-    tr, te = split_train_test(series(range(10)), SplitSpec(0.5))
-    assert tr.values.tolist() == [0, 1, 2, 3, 4]
-    assert te.values.tolist() == [5, 6, 7, 8, 9]
+    tr, te = windowed_split(series(range(10)), 1, 0.5)
+    assert tr.targets.tolist() == [1, 2, 3, 4]
+    assert te.targets.tolist() == [5, 6, 7, 8, 9]
+    assert te.inputs[:, 0].tolist() == [4, 5, 6, 7, 8]
 
 
 def test_split_empty_part_is_an_error():
     with pytest.raises(DataError):
-        split_train_test(series([1, 2, 3]), SplitSpec(0.1))
-
-
-def test_split_names_the_parts():
-    tr, te = split_train_test(series(range(10), name="x"), SplitSpec(0.5))
-    assert tr.name == "x:train" and te.name == "x:test"
-
-
-def test_splitspec_bounds():
-    with pytest.raises(ConfigError):
-        SplitSpec(0.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(1.0)
+        windowed_split(series([1, 2, 3]), 1, 0.1)
 
 
 @given(
-    st.integers(min_value=2, max_value=200),
+    st.integers(min_value=3, max_value=200),
     st.floats(min_value=0.05, max_value=0.95),
 )
 def test_split_is_a_partition(n, fraction):
     ts = series(np.arange(n, dtype=np.float64))
-    boundary = math.floor(n * fraction)
-    if boundary < 1 or boundary >= n:
+    n_train = math.floor(n * fraction)
+    if n_train < 2:
+        with pytest.raises(DataError):
+            windowed_split(ts, 1, fraction)
         return
-    tr, te = split_train_test(ts, SplitSpec(fraction))
-    assert len(tr) == boundary
-    assert np.concatenate([tr.values, te.values]).tolist() == ts.values.tolist()
+    tr, te = windowed_split(ts, 1, fraction)
+    assert len(tr) == n_train - 1
+    assert np.concatenate([tr.targets, te.targets]).tolist() == ts.values[1:].tolist()
 
 
 # ---------------------------------------------------------------- generators

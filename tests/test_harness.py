@@ -74,8 +74,9 @@ def test_windowed_split_too_small():
     series = TimeSeries(name="t", values=np.arange(8.0))
     with pytest.raises(DataError):
         windowed_split(series, d=6, train_fraction=0.8)
-    with pytest.raises(DataError):
-        windowed_split(series, d=2, train_fraction=1.0)
+    for fraction in (0.0, 1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DataError):
+            windowed_split(series, d=2, train_fraction=fraction)
 
 
 # ------------------------------------------------------------------- sources

@@ -1,4 +1,8 @@
-"""Monomial basis, closed-form fit, prediction and model serialization."""
+"""Monomial basis, closed-form fit, prediction and model serialization.
+
+A single window goes through the same batch paths as many: the design
+matrix and rolling_forecast on one-row inputs.
+"""
 
 import json
 import math
@@ -6,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lagcast.data import TimeSeries, make_windows, synth_ar
+from lagcast.data import TimeSeries, WindowedDataset, make_windows, synth_ar
 from lagcast.errors import ConfigError, DataError, FitError
 from lagcast.polynomial import (
     MonomialBasis,
@@ -14,11 +18,9 @@ from lagcast.polynomial import (
     _design_matrix,
     basis_size,
     enumerate_monomials,
-    expand,
     fit,
     from_json,
     load,
-    predict,
     rolling_forecast,
     save,
     to_json,
@@ -32,6 +34,20 @@ def windows_from(values, d):
 def train_sse(model, data):
     r = rolling_forecast(model, data) - data.targets
     return float(r @ r)
+
+
+def design_row(basis, x):
+    """Monomial feature vector of one window, through the batch design."""
+    return _design_matrix(basis, np.asarray(x, float)[None, :])[0]
+
+
+def forecast_row(model, x):
+    """Forecast after one window, through rolling_forecast on one row."""
+    x = np.asarray(x, float)
+    row = WindowedDataset(window_d=x.size, inputs=x[None, :], targets=np.zeros(1))
+    out = rolling_forecast(model, row)
+    assert out.shape == (1,)
+    return float(out[0])
 
 
 def noisy_windows(n=400, d=2, seed=0):
@@ -75,6 +91,12 @@ def test_basis_cap():
         enumerate_monomials(30, 10)
 
 
+def test_basis_cap_refuses_huge_d_and_k_at_once():
+    # math.comb(2e6, 1e6) alone runs for well over 20 s
+    with pytest.raises(ConfigError, match="cap"):
+        enumerate_monomials(10 ** 6, 10 ** 6)
+
+
 def test_basis_bad_args():
     with pytest.raises(ConfigError):
         enumerate_monomials(0, 2)
@@ -82,29 +104,29 @@ def test_basis_bad_args():
         enumerate_monomials(2, 0)
 
 
-# -------------------------------------------------------------------- expand
+# ------------------------------------------------------------ one-row design
 
 def test_expand_hand_case():
     b = enumerate_monomials(2, 2)
-    assert expand(b, np.array([2.0, 3.0])).tolist() == [1, 2, 3, 4, 6, 9]
+    assert design_row(b, np.array([2.0, 3.0])).tolist() == [1, 2, 3, 4, 6, 9]
 
 
 def test_expand_zeros():
     b = enumerate_monomials(3, 2)
-    v = expand(b, np.zeros(3))
+    v = design_row(b, np.zeros(3))
     assert v[0] == 1.0 and np.all(v[1:] == 0.0)
 
 
 def test_expand_linear_is_identity_plus_constant():
     b = enumerate_monomials(4, 1)
     x = np.array([2.0, -1.0, 0.5, 7.0])
-    assert expand(b, x).tolist() == [1.0, 2.0, -1.0, 0.5, 7.0]
+    assert design_row(b, x).tolist() == [1.0, 2.0, -1.0, 0.5, 7.0]
 
 
 def test_expand_length_mismatch():
     b = enumerate_monomials(2, 2)
     with pytest.raises(DataError):
-        expand(b, np.array([1.0, 2.0, 3.0]))
+        design_row(b, np.array([1.0, 2.0, 3.0]))
 
 
 # ----------------------------------------------------------------------- fit
@@ -194,19 +216,19 @@ def test_fit_degree_monotone_on_training_sse():
         assert lo <= hi + 1e-8
 
 
-# ------------------------------------------------------------------- predict
+# ------------------------------------------------------- one-window forecast
 
 def test_predict_constant_model():
     b = enumerate_monomials(2, 1)
     model = PolynomialModel(basis=b, weights=np.array([4.2, 0.0, 0.0]))
-    assert predict(model, np.array([100.0, -3.0])) == 4.2
+    assert forecast_row(model, np.array([100.0, -3.0])) == 4.2
 
 
 def test_predict_linear_series_next_value():
     vals = 2.0 * np.arange(30) + 1.0
     with pytest.warns(UserWarning):
         model = fit(windows_from(vals, 2), degree_k=1)
-    assert predict(model, np.array([vals[10], vals[11]])) == pytest.approx(
+    assert forecast_row(model, np.array([vals[10], vals[11]])) == pytest.approx(
         vals[12], abs=1e-8
     )
 
@@ -222,15 +244,15 @@ def test_predictions_invariant_to_basis_permutation():
     m = _design_matrix(shuffled, data.inputs)
     w, *_ = np.linalg.lstsq(m, data.targets, rcond=None)
     for row in data.inputs[:25]:
-        ours = predict(model, row)
-        theirs = float(expand(shuffled, row) @ w)
+        ours = forecast_row(model, row)
+        theirs = float(design_row(shuffled, row) @ w)
         assert abs(ours - theirs) <= 1e-10 * (1.0 + abs(ours))
 
 
 def test_predict_length_mismatch():
     model = fit(noisy_windows(), degree_k=1)
     with pytest.raises(DataError):
-        predict(model, np.array([1.0, 2.0, 3.0]))
+        forecast_row(model, np.array([1.0, 2.0, 3.0]))
 
 
 # ----------------------------------------------------------- rolling_forecast
@@ -239,7 +261,7 @@ def test_rolling_equals_mapped_predict():
     data = noisy_windows(n=120)
     model = fit(data, degree_k=2)
     rolled = rolling_forecast(model, data)
-    mapped = np.array([predict(model, row) for row in data.inputs])
+    mapped = np.array([forecast_row(model, row) for row in data.inputs])
     assert np.allclose(rolled, mapped, atol=1e-12)
 
 
@@ -307,3 +329,9 @@ def test_from_json_rejects_weight_count_mismatch():
 def test_from_json_rejects_non_json():
     with pytest.raises(DataError):
         from_json("{not json")
+
+
+@pytest.mark.parametrize("text", ['"exponents"', "1", "[]", "null"])
+def test_from_json_rejects_non_object(text):
+    with pytest.raises(DataError, match="JSON object"):
+        from_json(text)

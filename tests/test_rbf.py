@@ -18,10 +18,8 @@ from lagcast.rbf import (
     TrainTrace,
     batch_forward,
     fit_fixed,
-    forward,
     from_json,
     grow_until_target,
-    hidden_activations,
     init_centers,
     load,
     loss_gradient,
@@ -189,7 +187,7 @@ def test_centers_byte_equal_to_mask_loop_lloyd():
 # -------------------------------------------------------------------- widths
 
 def test_widths_two_centers_neighbor_distance():
-    w = set_widths(np.array([[0.0], [4.0]]), neighbor_p=1)
+    w = set_widths(np.array([[0.0], [4.0]]), 1.0)
     assert w.tolist() == [4.0, 4.0]
 
 
@@ -200,26 +198,48 @@ def test_widths_equilateral_triangle():
         [s, 0.0],
         [s / 2.0, s * math.sqrt(3.0) / 2.0],
     ])
-    w = set_widths(centers, neighbor_p=2)
+    w = set_widths(centers, 1.0)
     assert np.allclose(w, s, atol=1e-12)
 
 
+def test_widths_mean_of_two_nearest_peers():
+    # on a line at 0, 1, 3, 7 the two nearest peers of 7 are 3 and 1
+    w = set_widths(np.array([[0.0], [1.0], [3.0], [7.0]]), 1.0)
+    assert w.tolist() == [2.0, 1.5, 2.5, 5.0]
+
+
 def test_widths_duplicate_centers_stay_positive():
-    w = set_widths(np.zeros((3, 2)), neighbor_p=2)
+    # a zero scale still leaves the 1e-6 floor
+    w = set_widths(np.zeros((3, 2)), 0.0)
     assert np.all(w > 0)
 
 
 def test_widths_duplicate_centers_use_scale_hint():
-    w = set_widths(np.zeros((3, 2)), neighbor_p=2, scale_hint=2.5)
+    w = set_widths(np.zeros((3, 2)), 2.5)
     assert np.allclose(w, 2.5)
 
 
 def test_widths_validation():
-    with pytest.raises(ConfigError):
-        set_widths(np.zeros((3, 2)), neighbor_p=0)
+    with pytest.raises(DataError):
+        set_widths(np.zeros((0, 2)), 1.0)
+    with pytest.raises(DataError):
+        set_widths(np.zeros(3), 1.0)
 
 
 # --------------------------------------------------------------- activations
+
+def activations_row(net, x):
+    """Hidden-unit responses to one window, through the batch path."""
+    row = np.asarray(x, float)[None, :]
+    return rbf._activation_matrix(net.centers, net.widths, row)[0]
+
+
+def output_row(net, x):
+    """Network output for one window, through batch_forward on a (1, d) row."""
+    out = batch_forward(net, np.asarray(x, float)[None, :])
+    assert out.shape == (1,)
+    return float(out[0])
+
 
 def unit_net(center, width, weight=1.0, bias=0.0):
     return RbfNetwork(
@@ -232,19 +252,19 @@ def unit_net(center, width, weight=1.0, bias=0.0):
 
 def test_activation_peaks_at_center():
     net = unit_net([1.0, 2.0], 0.7)
-    assert hidden_activations(net, np.array([1.0, 2.0]))[0] == 1.0
+    assert activations_row(net, np.array([1.0, 2.0]))[0] == 1.0
 
 
 def test_activation_e_minus_one_at_rms_distance():
     sigma = 0.8
     net = unit_net([0.0], sigma)
     x = np.array([sigma * math.sqrt(2.0)])
-    assert hidden_activations(net, x)[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert activations_row(net, x)[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_activation_far_away_underflows_cleanly():
     net = unit_net([0.0], 1e-3)
-    a = hidden_activations(net, np.array([1e6]))[0]
+    a = activations_row(net, np.array([1e6]))[0]
     assert a == 0.0 and np.isfinite(a)
 
 
@@ -257,7 +277,7 @@ def test_activation_bounds():
         bias=0.0,
     )
     for _ in range(50):
-        a = hidden_activations(net, rng.standard_normal(3) * 10)
+        a = activations_row(net, rng.standard_normal(3) * 10)
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
@@ -281,12 +301,12 @@ def test_blocked_activations_byte_equal_to_direct_expression():
 
 def test_forward_zero_weights_is_bias():
     net = unit_net([0.0, 0.0], 1.0, weight=0.0, bias=3.25)
-    assert forward(net, np.array([5.0, -2.0])) == 3.25
+    assert output_row(net, np.array([5.0, -2.0])) == 3.25
 
 
 def test_forward_unit_weight_at_center():
     net = unit_net([1.5, -0.5], 1.0, weight=1.0, bias=0.0)
-    assert forward(net, np.array([1.5, -0.5])) == 1.0
+    assert output_row(net, np.array([1.5, -0.5])) == 1.0
 
 
 def test_forward_is_linear_in_weights():
@@ -295,7 +315,7 @@ def test_forward_is_linear_in_weights():
     widths = np.full(4, 0.9)
     x = rng.standard_normal(2)
     w1, w2 = rng.standard_normal(4), rng.standard_normal(4)
-    f = lambda w: forward(
+    f = lambda w: output_row(
         RbfNetwork(centers=centers, widths=widths, out_weights=w, bias=0.0), x
     )
     assert f(w1 + w2) == pytest.approx(f(w1) + f(w2), rel=1e-12)
@@ -311,7 +331,13 @@ def test_batch_forward_matches_forward():
     )
     xs = rng.standard_normal((10, 2))
     batch = batch_forward(net, xs)
-    assert np.allclose(batch, [forward(net, x) for x in xs], atol=1e-12)
+    assert np.allclose(batch, [output_row(net, x) for x in xs], atol=1e-12)
+
+
+def test_forward_length_mismatch():
+    net = unit_net([0.0, 0.0], 1.0)
+    with pytest.raises(DataError):
+        batch_forward(net, np.zeros((1, 3)))
 
 
 def test_network_validation():
@@ -329,7 +355,7 @@ def test_train_zero_targets_never_moves():
     rng = np.random.default_rng(7)
     inputs = rng.standard_normal((30, 2))
     centers = init_centers(inputs, m=4, seed=0)
-    widths = set_widths(centers)
+    widths = set_widths(centers, rbf._input_scale(inputs))
     cfg = RbfTrainConfig(units=4, epochs=20, learning_rate=0.05, seed=0)
     net, trace = train(inputs, np.zeros(30), centers, widths, cfg)
     assert np.all(net.out_weights == 0.0) and net.bias == 0.0
@@ -345,7 +371,7 @@ def test_train_single_unit_identical_inputs_learns_the_mean():
     cfg = RbfTrainConfig(units=1, epochs=800, learning_rate=0.05,
                          batch_size=40, seed=0)
     net, _ = train(inputs, targets, centers, widths, cfg)
-    assert forward(net, np.array([1.0, 2.0])) == pytest.approx(
+    assert output_row(net, np.array([1.0, 2.0])) == pytest.approx(
         float(targets.mean()), abs=1e-3
     )
 
@@ -353,7 +379,7 @@ def test_train_single_unit_identical_inputs_learns_the_mean():
 def test_train_keeps_the_best_epoch():
     data = sinusoid_windows(n=120, d=6, noise=0.05)
     centers = init_centers(data.inputs, m=8, seed=1)
-    widths = set_widths(centers)
+    widths = set_widths(centers, rbf._input_scale(data.inputs))
     cfg = RbfTrainConfig(units=8, epochs=60, learning_rate=0.02, seed=1)
     net, trace = train(data.inputs, data.targets, centers, widths, cfg)
     refit_mse = float(np.mean((batch_forward(net, data.inputs) - data.targets) ** 2))
@@ -388,7 +414,7 @@ def test_train_diverging_rate_is_a_fit_error():
 
     data = sinusoid_windows(n=80, d=4)
     centers = init_centers(data.inputs, m=4, seed=0)
-    widths = set_widths(centers)
+    widths = set_widths(centers, rbf._input_scale(data.inputs))
     cfg = RbfTrainConfig(units=4, epochs=400, learning_rate=1e12, seed=0)
     try:
         net, trace = train(data.inputs, data.targets, centers, widths, cfg)
@@ -440,7 +466,7 @@ def assert_same_bits(got, want):
 def test_train_bit_identical_to_out_of_place_loop(batch_size):
     data = sinusoid_windows(n=111, d=6, noise=0.05, seed=4)  # 105 rows
     centers = init_centers(data.inputs, m=10, seed=4)
-    widths = set_widths(centers)
+    widths = set_widths(centers, rbf._input_scale(data.inputs))
     cfg = RbfTrainConfig(units=10, batch_size=batch_size, epochs=30,
                          learning_rate=0.02, seed=4)
     args = (data.inputs, data.targets, centers, widths, cfg)
@@ -489,7 +515,7 @@ def test_trained_layer_approaches_least_squares_optimum():
     # scaled-down version of the acceptance fixture
     data = sinusoid_windows(n=120, d=6, noise=0.05, seed=3)
     centers = init_centers(data.inputs, m=8, seed=3)
-    widths = set_widths(centers)
+    widths = set_widths(centers, rbf._input_scale(data.inputs))
     # constant-rate RMSprop hovers near the optimum at a floor set by the
     # rate, so this needs a small rate and patience
     cfg = RbfTrainConfig(units=8, epochs=12000, learning_rate=0.002,
@@ -620,3 +646,9 @@ def test_from_json_rejects_bad_version():
     doc["schema_version"] = 2
     with pytest.raises(DataError):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ['"centers"', "1", "[]", "null"])
+def test_from_json_rejects_non_object(text):
+    with pytest.raises(DataError, match="JSON object"):
+        from_json(text)
