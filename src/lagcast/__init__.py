@@ -39,7 +39,6 @@ from .metrics import MetricReport, TimedResult, cv_rmse, mae, metric_report, rms
 from .polynomial import (
     MonomialBasis,
     PolynomialModel,
-    basis_size,
     enumerate_monomials,
     fit,
     rolling_forecast,

@@ -4,7 +4,8 @@ Four subcommands: synth writes a synthetic series to CSV, sweep runs
 the polynomial degree sweep, compare runs the PC vs RBFNN head-to-head,
 and forecast applies a saved model to a series.  Every flag can also be
 supplied through --config pointing at a flat "key = value" file; flags
-given on the command line win over the file.
+given on the command line win over the file; an option given neither
+way keeps the library's default unless _SPECS sets one.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 model
 fit or training error.
@@ -15,20 +16,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import polynomial as poly
 from . import rbf
-from .data import load_csv, make_windows
+from .data import make_windows
 from .errors import ConfigError, DataError, FitError, UndefinedMetricError
 from .harness import (
-    ComparisonSuite, CsvSource, ExperimentConfig, SynthSource, render_report,
+    REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, render_report,
     resolve_source, run_comparison, run_comparison_suite, run_degree_sweep,
 )
 from .rbf import RbfTrainConfig
+
+# a longer --degrees or --seeds range is a typo, not an experiment
+_MAX_RANGE = 100_000
 
 
 def _parse_bool(text: str) -> bool:
@@ -48,12 +51,20 @@ def _parse_int_list(text: str) -> tuple:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ConfigError(f"empty range {text!r}")
+        if hi - lo >= _MAX_RANGE:
+            raise ConfigError(f"range {text!r} has more than {_MAX_RANGE} values")
         return tuple(range(lo, hi + 1))
     return tuple(int(p) for p in text.split(",") if p.strip() != "")
 
 
 def _parse_float_list(text: str) -> tuple:
     return tuple(float(p) for p in text.split(",") if p.strip() != "")
+
+
+def _parse_format(text: str) -> str:
+    if text not in REPORT_FORMATS:
+        raise ConfigError(f"unknown format {text!r}; expected {', '.join(REPORT_FORMATS)}")
+    return text
 
 
 def _parse_column(text: str) -> str | int:
@@ -70,57 +81,39 @@ def _wrap(conv, key: str):
     return run
 
 
-# dest -> (converter, default); None default means "required"
+_REQUIRED = object()  # the default of an option that must be given
+
+# dest -> (converter, default).  An option whose default is None, given
+# neither as a flag nor in the config file, is left out, so the library's
+# default applies.
+_CSV = {"data": (str, _REQUIRED), "column": (_parse_column, None),
+        "no_header": (_parse_bool, None)}
+_PROTOCOL = {"window": (int, None), "degrees": (_parse_int_list, None),
+             "ridge_lambda": (float, None), "train_fraction": (float, None)}
+_SYNTH_PARAMS = {"period": (int, None), "amplitude": (float, None),
+                 "trend": (float, None), "noise_sd": (float, None),
+                 "drift": (float, None), "coeffs": (_parse_float_list, None)}
 _SPECS = {
-    "synth": {
-        "kind": (str, None),
-        "n": (int, None),
-        "seed": (int, 0),
-        "out": (str, None),
-        "period": (int, "unset"),
-        "amplitude": (float, "unset"),
-        "trend": (float, "unset"),
-        "noise_sd": (float, "unset"),
-        "drift": (float, "unset"),
-        "coeffs": (_parse_float_list, "unset"),
-    },
-    "sweep": {
-        "data": (str, None),
-        "column": (_parse_column, 0),
-        "no_header": (_parse_bool, False),
-        "window": (int, 8),
-        "degrees": (_parse_int_list, (1, 2, 3, 4, 5)),
-        "ridge_lambda": (float, 0.0),
-        "train_fraction": (float, 0.8),
-        "format": (str, "markdown"),
-        "out": (str, ""),
-    },
+    "synth": {"kind": (str, _REQUIRED), "n": (int, _REQUIRED), "seed": (int, None),
+              "out": (str, _REQUIRED), **_SYNTH_PARAMS},
+    "sweep": {**_CSV, **_PROTOCOL, "format": (_parse_format, "markdown"),
+              "out": (str, None)},
+    # compare departs from the library on purpose: PC at degree 1 and
+    # RBFNN at the paper's settings
     "compare": {
-        "data": (str, None),
-        "column": (_parse_column, 0),
-        "no_header": (_parse_bool, False),
-        "window": (int, 8),
-        "degrees": (_parse_int_list, (1,)),
-        "ridge_lambda": (float, 0.0),
-        "train_fraction": (float, 0.8),
-        "alpha": (float, 0.05),
-        "rbf_units": (int, 36),
-        "rbf_lr": (float, 0.000264),
-        "rbf_epochs": (int, 60),
-        "rbf_batch": (int, 109),
-        "rbf_target_mse": (float, ""),
-        "rbf_max_units": (int, ""),
-        "seeds": (_parse_int_list, (0,)),
-        "format": (str, "json"),
-        "out": (str, ""),
+        **_CSV, **_PROTOCOL, "degrees": (_parse_int_list, (1,)), "alpha": (float, None),
+        "rbf_units": (int, 36), "rbf_lr": (float, 0.000264), "rbf_epochs": (int, 60),
+        "rbf_batch": (int, 109), "rbf_target_mse": (float, None),
+        "rbf_max_units": (int, None), "seeds": (_parse_int_list, None),
+        "format": (_parse_format, "json"), "out": (str, None),
     },
-    "forecast": {
-        "model": (str, None),
-        "data": (str, None),
-        "column": (_parse_column, 0),
-        "no_header": (_parse_bool, False),
-        "out": (str, None),
-    },
+    "forecast": {"model": (str, _REQUIRED), **_CSV, "out": (str, _REQUIRED)},
+}
+
+# every flag that takes a value, spelled as on the command line
+_VALUE_FLAGS = {"--config", "--lambda"} | {
+    "--" + key.replace("_", "-")
+    for spec in _SPECS.values() for key, (conv, _) in spec.items() if conv is not _parse_bool
 }
 
 
@@ -143,7 +136,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
-    """Layer defaults, then config-file values, then explicit flags."""
+    """Layer CLI defaults, config-file values and flags; check each one."""
     spec = _SPECS[command]
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(spec)
@@ -158,10 +151,26 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
             out[key] = _wrap(conv, key)(flag_value)
         elif key in file_values:
             out[key] = _wrap(conv, key)(file_values[key])
-        elif default is None:
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        else:
+        elif default is not None:
             out[key] = default
+    return out
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """Rewrite each '--flag value' as '--flag=value'.
+
+    argparse reads a value that starts with '-' but is not a plain
+    number, such as -inf or -1e3, as an unknown option; joined to its
+    flag it is a value, checked like any other.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
     return out
 
 
@@ -192,45 +201,48 @@ def _write(path: str, text: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str):
-    if out:
-        _write(out, text + "\n")
-    else:
+def _emit(text: str, out: str | None):
+    if out is None:
         print(text)
+    else:
+        _write(out, text + "\n")
+
+
+def _given(v: dict, **names: str) -> dict:
+    """The options of names present in v, keyed by the parameter each sets."""
+    return {param: v[key] for key, param in names.items() if key in v}
+
+
+def _csv_source(v: dict) -> CsvSource:
+    kwargs = _given(v, column="column")
+    if "no_header" in v:
+        kwargs["has_header"] = not v["no_header"]
+    return CsvSource(path=v["data"], **kwargs)
 
 
 def _cmd_synth(v: dict) -> int:
-    params = {}
-    for key in ("period", "amplitude", "trend", "noise_sd", "drift", "coeffs"):
-        if v[key] != "unset":
-            params[key] = v[key]
-    series = resolve_source(SynthSource(kind=v["kind"], n=v["n"],
-                                        seed=v["seed"], params=params))
+    params = {key: v[key] for key in _SYNTH_PARAMS if key in v}
+    series = resolve_source(SynthSource(kind=v["kind"], n=v["n"], params=params,
+                                        **_given(v, seed="seed")))
     lines = ["t,v"] + [f"{i},{float(val)!r}" for i, val in enumerate(series.values)]
     _write(v["out"], "\n".join(lines) + "\n")
     print(f"wrote {len(series)} points to {v['out']}")
     return 0
 
 
-def _experiment_config(v: dict, seeds: tuple = (0,),
-                       rbf_config: RbfTrainConfig | None = None) -> ExperimentConfig:
-    source = CsvSource(path=v["data"], column=v["column"],
-                       has_header=not v["no_header"])
+def _experiment_config(v: dict, **extra) -> ExperimentConfig:
     return ExperimentConfig(
-        source=source,
-        window_d=v["window"],
-        train_fraction=v["train_fraction"],
-        degrees=v["degrees"],
-        ridge_lambda=v["ridge_lambda"],
-        rbf_config=rbf_config or RbfTrainConfig(),
-        seeds=seeds,
-        alpha=v.get("alpha", 0.05),
+        source=_csv_source(v),
+        **_given(v, window="window_d", train_fraction="train_fraction",
+                 degrees="degrees", ridge_lambda="ridge_lambda", seeds="seeds",
+                 alpha="alpha"),
+        **extra,
     )
 
 
 def _cmd_sweep(v: dict) -> int:
     result = run_degree_sweep(_experiment_config(v))
-    _emit(render_report(result, v["format"]), v["out"])
+    _emit(render_report(result, v["format"]), v.get("out"))
     if all(r.failed for r in result.rows):
         print("every degree failed to fit", file=sys.stderr)
         return 4
@@ -238,20 +250,16 @@ def _cmd_sweep(v: dict) -> int:
 
 
 def _cmd_compare(v: dict) -> int:
-    rbf_config = RbfTrainConfig(
-        units=v["rbf_units"],
-        batch_size=v["rbf_batch"],
-        epochs=v["rbf_epochs"],
-        learning_rate=v["rbf_lr"],
-        target_mse=v["rbf_target_mse"] if v["rbf_target_mse"] != "" else None,
-        max_units=v["rbf_max_units"] if v["rbf_max_units"] != "" else None,
-    )
-    config = _experiment_config(v, seeds=v["seeds"], rbf_config=rbf_config)
+    rbf_config = RbfTrainConfig(**_given(
+        v, rbf_units="units", rbf_batch="batch_size", rbf_epochs="epochs",
+        rbf_lr="learning_rate", rbf_target_mse="target_mse",
+        rbf_max_units="max_units"))
+    config = _experiment_config(v, rbf_config=rbf_config)
     if len(config.seeds) == 1:
         result = run_comparison(config)
     else:
         result = run_comparison_suite(config)
-    _emit(render_report(result, v["format"]), v["out"])
+    _emit(render_report(result, v["format"]), v.get("out"))
     return 0
 
 
@@ -275,8 +283,7 @@ def _cmd_forecast(v: dict) -> int:
         predict_all = lambda w: rbf.batch_forward(net, w.inputs)
     else:
         raise DataError(f"{v['model']} is neither a polynomial nor an RBF model document")
-    series = load_csv(v["data"], v["column"], has_header=not v["no_header"])
-    windows = make_windows(series, d)
+    windows = make_windows(resolve_source(_csv_source(v)), d)
     preds = predict_all(windows)
     if not np.all(np.isfinite(preds)):
         raise DataError(f"{v['model']} gives non-finite forecasts on this series")
@@ -297,7 +304,7 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         values = _effective(args, args.command)
         return _HANDLERS[args.command](values)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,8 +156,8 @@ def _check_common(n: int, noise_sd: float):
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
 
 
-def synth_seasonal(n: int, period: int, amplitude: float = 1.0, trend: float = 0.0,
-                   noise_sd: float = 0.0, seed: int = 0) -> TimeSeries:
+def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: float = 0.0,
+                   noise_sd: float = 0.0, *, seed: int) -> TimeSeries:
     """Sine of the given period plus linear trend plus gaussian noise.
 
     value_i = amplitude * sin(2*pi*i / period) + trend * i + noise_i.
@@ -177,7 +178,7 @@ def synth_seasonal(n: int, period: int, amplitude: float = 1.0, trend: float = 0
 
 
 def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
-                      seed: int = 0) -> TimeSeries:
+                      *, seed: int) -> TimeSeries:
     """Random walk from 0: v_{i+1} = v_i + drift + gaussian(0, noise_sd)."""
     _check_common(n, noise_sd)
     steps = GaussianStream(seed).gaussians(n - 1, mu=drift, sigma=noise_sd)
@@ -185,8 +186,8 @@ def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
     return TimeSeries(name=f"walk-{seed}", values=values)
 
 
-def synth_ar(coeffs: list[float], n: int, noise_sd: float = 0.0,
-             seed: int = 0) -> TimeSeries:
+def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 0.0,
+             seed: int) -> TimeSeries:
     """Autoregressive series; coeffs[0] weights the most recent lag.
 
     The first len(coeffs) values are standard-normal draws from the seed,

@@ -11,6 +11,7 @@ per-point absolute errors of the two models.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -34,6 +35,8 @@ REPORT_SCHEMA_VERSION = 1
 PC = "PC"
 RBFNN = "RBFNN"
 
+REPORT_FORMATS = ("markdown", "csv", "json")
+
 
 @dataclass(frozen=True)
 class CsvSource:
@@ -52,33 +55,31 @@ class SynthSource:
 
 DataSource = Union[CsvSource, SynthSource]
 
+_GENERATORS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
+
 
 def resolve_source(source: DataSource) -> TimeSeries:
-    """Materialize the configured data source as a TimeSeries."""
+    """Materialize the configured data source as a TimeSeries.
+
+    A synthetic source's params are keyword arguments of its kind's
+    generator, whose signature holds every default; a parameter the
+    generator does not take is a ConfigError.
+    """
     if isinstance(source, CsvSource):
         return load_csv(source.path, source.column, source.has_header)
     if not isinstance(source, SynthSource):
         raise ConfigError(f"unknown data source type {type(source).__name__}")
-    p = source.params
-    if source.kind == "seasonal":
-        return synth_seasonal(
-            n=source.n, period=int(p.get("period", 12)),
-            amplitude=float(p.get("amplitude", 1.0)),
-            trend=float(p.get("trend", 0.0)),
-            noise_sd=float(p.get("noise_sd", 0.0)), seed=source.seed,
-        )
-    if source.kind == "walk":
-        return synth_random_walk(
-            n=source.n, drift=float(p.get("drift", 0.0)),
-            noise_sd=float(p.get("noise_sd", 1.0)), seed=source.seed,
-        )
-    if source.kind == "ar":
-        coeffs = p.get("coeffs", (0.6, 0.3))
-        return synth_ar(
-            coeffs=list(coeffs), n=source.n,
-            noise_sd=float(p.get("noise_sd", 0.0)), seed=source.seed,
-        )
-    raise ConfigError(f"unknown synthetic kind {source.kind!r}")
+    generate = _GENERATORS.get(source.kind)
+    if generate is None:
+        raise ConfigError(f"unknown synthetic kind {source.kind!r}")
+    takes = set(inspect.signature(generate).parameters) - {"n", "seed"}
+    for name in source.params:
+        if name not in takes:
+            raise ConfigError(
+                f"synthetic kind {source.kind!r} takes no parameter {name!r}; "
+                f"it takes {', '.join(sorted(takes))}"
+            )
+    return generate(n=source.n, seed=source.seed, **source.params)
 
 
 @dataclass(frozen=True)
@@ -313,24 +314,20 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
 
     rbf_cfg = replace(config.rbf_config, seed=rbf_seed)
     grow = rbf_cfg.target_mse is not None
-    trace_box: dict = {}
 
-    def rbf_job() -> np.ndarray:
-        if grow:
-            net, trace = rbf.grow_until_target(train.inputs, train.targets, rbf_cfg)
-        else:
-            net, trace = rbf.fit_fixed(train.inputs, train.targets, rbf_cfg)
-        trace_box["trace"] = trace
-        return rbf.batch_forward(net, test.inputs)
+    def rbf_job() -> tuple[rbf.TrainTrace, np.ndarray]:
+        fit_net = rbf.grow_until_target if grow else rbf.fit_fixed
+        net, trace = fit_net(train.inputs, train.targets, rbf_cfg)
+        return trace, rbf.batch_forward(net, test.inputs)
 
     try:
         rbf_run = timed(rbf_job)
     except FitError as exc:
         raise FitError(f"comparison aborted at stage 'RBFNN training': {exc}") from exc
-    trace = trace_box["trace"]
+    trace, rbf_pred = rbf_run.value
     rbf_row = ModelRow(
         model=RBFNN, exec_seconds=rbf_run.seconds,
-        metrics=metric_report(test.targets, rbf_run.value),
+        metrics=metric_report(test.targets, rbf_pred),
         detail={
             "units": trace.final_units, "epochs": trace.epochs_run,
             "learning_rate": rbf_cfg.learning_rate, "batch_size": rbf_cfg.batch_size,
@@ -340,7 +337,7 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     )
 
     err_pc = np.abs(test.targets - pc_run.value)
-    err_rbf = np.abs(test.targets - rbf_run.value)
+    err_rbf = np.abs(test.targets - rbf_pred)
     degenerate = False
     t_res = w_res = None
     if np.ptp(err_pc - err_rbf) == 0.0:

@@ -42,11 +42,6 @@ class MonomialBasis:
         return len(self.exponents)
 
 
-def basis_size(d: int, k: int) -> int:
-    """Number of monomials over d variables with total degree <= k."""
-    return math.comb(d + k, k)
-
-
 def enumerate_monomials(d: int, k: int) -> MonomialBasis:
     """Build the canonical monomial basis for window size d and max degree k."""
     if d < 1:
@@ -103,7 +98,7 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray) -> np.ndarray:
 class PolynomialModel:
     basis: MonomialBasis
     weights: np.ndarray
-    ridge_lambda: float = 0.0
+    ridge_lambda: float
 
 
 def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> PolynomialModel:

@@ -31,6 +31,8 @@ _KMEANS_REL_TOL = 1e-6
 _ROW_BLOCK = 512  # rows per block of _sq_dists' (block, M, d) temporary
 _MIN_WIDTH = 1e-6
 _GROW_START_UNITS = 4
+_RMSPROP_RHO = 0.9  # the usual RMSprop decay and zero-division guard
+_RMSPROP_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,7 @@ class RbfNetwork:
 class RbfTrainConfig:
     """Knobs for output-layer training and (optionally) growth.
 
-    target_mse and max_units only matter to grow_until_target.
-    decay_rho and epsilon are the RMSprop smoothing knobs; they, the
+    target_mse and max_units only matter to grow_until_target.  The
     learning rate and target_mse are checked once here, so the training
     loop does not re-check them per step.
     """
@@ -85,8 +86,6 @@ class RbfTrainConfig:
     seed: int = 0
     target_mse: float | None = None
     max_units: int | None = None
-    decay_rho: float = 0.9
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.units < 1:
@@ -102,10 +101,6 @@ class RbfTrainConfig:
             raise ConfigError(f"target_mse must be finite and positive, got {self.target_mse}")
         if self.max_units is not None and self.max_units < 1:
             raise ConfigError(f"max_units must be >= 1, got {self.max_units}")
-        if not 0.0 <= self.decay_rho < 1.0:
-            raise ConfigError(f"decay_rho must be in [0, 1), got {self.decay_rho}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -122,14 +117,21 @@ class TrainTrace:
         return float(np.min(self.epoch_mse))
 
 
-def _check_training_data(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
         raise DataError("inputs must be a non-empty (N, d) array")
+    if not np.all(np.isfinite(inputs)):
+        raise DataError("training data must be finite")
+    return inputs
+
+
+def _check_training_data(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    inputs = _check_inputs(inputs)
+    targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (inputs.shape[0],):
         raise DataError("targets must be 1-D with one entry per input row")
-    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+    if not np.all(np.isfinite(targets)):
         raise DataError("training data must be finite")
     return inputs, targets
 
@@ -206,7 +208,7 @@ def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     rechecked with the direct sums, so the assignments, and the centers,
     are those of the direct computation bit for bit.
     """
-    inputs, _ = _check_training_data(inputs, np.zeros(np.asarray(inputs).shape[0]))
+    inputs = _check_inputs(inputs)
     n = inputs.shape[0]
     if not (1 <= m <= n):
         raise ConfigError(f"need 1 <= m <= {n} centers, got {m}")
@@ -313,8 +315,9 @@ def rmsprop_step(params: np.ndarray, accum: np.ndarray, grads: np.ndarray,
     accum <- rho * accum + (1 - rho) * g^2
     params <- params - lr * g / (sqrt(accum) + eps)
 
-    The knobs are checked once by RbfTrainConfig; only the gradient,
-    which changes every step, is checked here.
+    train passes the module's smoothing constants and a learning rate
+    checked once by RbfTrainConfig; only the gradient, which changes
+    every step, is checked here.
     """
     if not np.isfinite(grads).all():
         raise FitError("rmsprop_step: non-finite gradient (learning rate likely too high)")
@@ -345,7 +348,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     m = centers.shape[0]
     n = inputs.shape[0]
     bs = config.batch_size
-    lr, rho, eps = config.learning_rate, config.decay_rho, config.epsilon
+    lr, rho, eps = config.learning_rate, _RMSPROP_RHO, _RMSPROP_EPS
 
     phi = _activation_matrix(centers, widths, inputs)
     params = np.zeros(m + 1)

@@ -156,18 +156,14 @@ def paired_t_test(a, b) -> PairedTestResult:
     )
 
 
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the average of their positions."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with tied values sharing the average of their positions.
+
+    Also returns how many times each distinct value occurs, in ascending
+    order of value.
+    """
+    _, which, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[which], counts
 
 
 def _exact_min_tail(int_ranks: list[int], w_min: float) -> Fraction:
@@ -190,17 +186,30 @@ def _exact_min_tail(int_ranks: list[int], w_min: float) -> Fraction:
     return min(p, Fraction(1, 1))
 
 
-def wilcoxon_signed_rank(a, b, mode: str = "auto") -> PairedTestResult:
+def _normal_tail(n: int, w_min: float, tie_counts: np.ndarray) -> float:
+    """Two-sided p for min(W+, W-) = w_min from the normal approximation.
+
+    The variance is tie-corrected from the counts of each distinct
+    magnitude, and the statistic carries a continuity correction.
+    """
+    mu = n * (n + 1) / 4.0
+    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
+    if sigma2 <= 0:
+        raise DegenerateSampleError("signed-rank variance collapsed to zero under ties")
+    z = (w_min - mu + 0.5) / math.sqrt(sigma2)
+    return min(1.0, 2.0 * _normal_cdf(z))
+
+
+def wilcoxon_signed_rank(a, b) -> PairedTestResult:
     """Two-sided Wilcoxon signed-rank test on the differences a - b.
 
     Zero differences are dropped.  With at most 20 nonzero differences
     and no ties among their magnitudes the two-sided p-value is exact
     (a rational with denominator 2^n); otherwise it comes from the
     normal approximation with tie-corrected variance and a continuity
-    correction.  mode forces one path: "exact", "normal" or "auto".
+    correction.
     """
-    if mode not in ("auto", "exact", "normal"):
-        raise ConfigError(f"unknown wilcoxon mode {mode!r}")
     d = _paired_diffs(a, b)
     d = d[d != 0.0]
     n = int(d.size)
@@ -208,25 +217,13 @@ def wilcoxon_signed_rank(a, b, mode: str = "auto") -> PairedTestResult:
         raise DegenerateSampleError(
             "all paired differences are zero; signed-rank test is undefined"
         )
-    magnitudes = np.abs(d)
-    ranks = _average_ranks(magnitudes)
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(np.sum(ranks[d > 0]))
     w_minus = float(np.sum(ranks[d < 0]))
     statistic = min(w_plus, w_minus)
     direction = 0 if w_plus == w_minus else (1 if w_plus > w_minus else -1)
 
-    has_ties = np.unique(magnitudes).size < n
-    use_exact = (mode == "exact") or (
-        mode == "auto" and n <= EXACT_WILCOXON_LIMIT and not has_ties
-    )
-    if use_exact and has_ties:
-        raise ConfigError("exact wilcoxon requires tie-free difference magnitudes")
-    if use_exact and n > EXACT_WILCOXON_LIMIT:
-        raise ConfigError(
-            f"exact wilcoxon supported up to n={EXACT_WILCOXON_LIMIT}, got {n}"
-        )
-
-    if use_exact:
+    if n <= EXACT_WILCOXON_LIMIT and tie_counts.size == n:
         # tie-free ranks are exactly the integers 1..n
         p_exact = _exact_min_tail([int(r) for r in ranks], statistic)
         return PairedTestResult(
@@ -234,22 +231,14 @@ def wilcoxon_signed_rank(a, b, mode: str = "auto") -> PairedTestResult:
             n_effective=n, effect_direction=direction, p_exact=p_exact,
             w_plus=w_plus, w_minus=w_minus,
         )
-
-    mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(magnitudes, return_counts=True)
-    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
-    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if sigma2 <= 0:
-        raise DegenerateSampleError("signed-rank variance collapsed to zero under ties")
-    z = (statistic - mu + 0.5) / math.sqrt(sigma2)
-    p = min(1.0, 2.0 * _normal_cdf(z))
     return PairedTestResult(
-        method="wilcoxon_normal_approx", statistic=statistic, p_value=p, n_effective=n,
+        method="wilcoxon_normal_approx", statistic=statistic,
+        p_value=_normal_tail(n, statistic, tie_counts), n_effective=n,
         effect_direction=direction, w_plus=w_plus, w_minus=w_minus,
     )
 
 
-def significance_verdict(result: PairedTestResult, alpha: float = 0.05) -> str:
+def significance_verdict(result: PairedTestResult, alpha: float) -> str:
     """Map a test result to A_better / B_better / no_significant_difference.
 
     Significant means p strictly below alpha.  The winner is the side

@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from lagcast import polynomial as poly
+from lagcast import cli, polynomial as poly
 from lagcast import rbf
 from lagcast.cli import main
 from lagcast.data import TimeSeries, load_csv, make_windows
+from lagcast.harness import (
+    CsvSource, ExperimentConfig, render_report, run_comparison, run_degree_sweep,
+)
 
 
 def run_cli(*argv):
@@ -147,8 +150,12 @@ def test_bad_flag_value_is_exit_2(tmp_path, capsys):
     ["compare", "--rbf-lr", "nan"],
     ["compare", "--rbf-lr", "inf"],
     ["compare", "--rbf-target-mse", "nan", "--rbf-max-units", "8"],
+    ["sweep", "--lambda", "-inf"],
+    ["compare", "--lambda", "-1e3"],
+    ["compare", "--rbf-lr", "-inf"],
 ], ids=["sweep-lambda-nan", "compare-lambda-inf", "compare-lr-nan",
-        "compare-lr-inf", "compare-target-nan"])
+        "compare-lr-inf", "compare-target-nan", "sweep-lambda-minus-inf",
+        "compare-lambda-minus-1e3", "compare-lr-minus-inf"])
 def test_non_finite_flag_is_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.txt"
     code = main([*argv, "--data", seasonal_csv(tmp_path, n=120), "--column", "v",
@@ -157,6 +164,67 @@ def test_non_finite_flag_is_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("config error")
     assert not out.exists()
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the command ran an experiment")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--format", "xml"],
+    ["compare", "--format", "xml", "--seeds", "0..9"],
+    ["sweep", "--format", "xml"],
+    ["sweep", "--degrees", "1..1000000000000000"],
+    ["compare", "--seeds", "0..1000000000000000"],
+], ids=["compare-format", "compare-format-seeds", "sweep-format",
+        "sweep-huge-degree-range", "compare-huge-seed-range"])
+def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    for name in ("run_comparison", "run_comparison_suite", "run_degree_sweep"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    code = main([*argv, "--data", seasonal_csv(tmp_path, n=120), "--column", "v"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("config error")
+    assert captured.out == ""
+
+
+def test_synth_parameter_of_another_kind_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["synth", "--kind", "seasonal", "--n", "50", "--drift", "1",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "'drift'" in err and "'seasonal'" in err
+    assert not out.exists()
+
+
+def without_times(doc):
+    if isinstance(doc, dict):
+        return {k: without_times(v) for k, v in doc.items() if k != "exec_seconds"}
+    if isinstance(doc, list):
+        return [without_times(v) for v in doc]
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
+    data = seasonal_csv(tmp_path, n=120)
+    source = CsvSource(data, "v")
+
+    assert main(["sweep", "--data", data, "--column", "v", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads(render_report(run_degree_sweep(ExperimentConfig(source=source)),
+                                    "json"))
+    assert without_times(got) == without_times(want)
+
+    assert main(["compare", "--data", data, "--column", "v", "--rbf-units", "36",
+                 "--rbf-lr", "0.000264", "--rbf-epochs", "60", "--rbf-batch", "109"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    paper = rbf.RbfTrainConfig(units=36, learning_rate=0.000264, epochs=60,
+                               batch_size=109)
+    report = run_comparison(ExperimentConfig(source=source, degrees=(1,),
+                                             rbf_config=paper))
+    assert without_times(got) == without_times(json.loads(render_report(report, "json")))
 
 
 def test_unknown_flag_is_argparse_exit_2():

@@ -174,11 +174,13 @@ def test_windows_longer_than_the_train_span(command, window, fraction):
 @given(
     flag=st.sampled_from(["--train-fraction", "--lambda", "--rbf-lr"]),
     value=hostile_floats,
+    joined=st.booleans(),
 )
-def test_non_finite_float_flags(flag, value):
+def test_non_finite_float_flags(flag, value, joined):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["compare", "--data", write_csv(Path(tmp), SERIES), "--column", "v",
-                "--window", "3", *QUICK_RBF, f"{flag}={value}"]
+                "--window", "3", *QUICK_RBF,
+                *([f"{flag}={value}"] if joined else [flag, value])]
         run(argv)
 
 

@@ -199,12 +199,14 @@ def test_split_is_a_partition(n, fraction):
 # ---------------------------------------------------------------- generators
 
 def test_seasonal_degenerates_to_ramp():
-    ts = synth_seasonal(n=50, period=12, amplitude=0.0, trend=1.0, noise_sd=0.0)
+    ts = synth_seasonal(n=50, period=12, amplitude=0.0, trend=1.0, noise_sd=0.0,
+                        seed=0)
     assert np.allclose(ts.values, np.arange(50), atol=1e-12)
 
 
 def test_seasonal_noiseless_periodicity():
-    ts = synth_seasonal(n=40, period=4, amplitude=1.0, trend=0.0, noise_sd=0.0)
+    ts = synth_seasonal(n=40, period=4, amplitude=1.0, trend=0.0, noise_sd=0.0,
+                        seed=0)
     assert np.allclose(ts.values[:-4], ts.values[4:], atol=1e-12)
 
 
@@ -218,23 +220,23 @@ def test_seasonal_deterministic():
 
 def test_seasonal_warns_when_short():
     with pytest.warns(UserWarning):
-        synth_seasonal(n=10, period=12, noise_sd=0.0)
+        synth_seasonal(n=10, period=12, noise_sd=0.0, seed=0)
 
 
 def test_seasonal_rejects_bad_args():
     with pytest.raises(ConfigError):
-        synth_seasonal(n=0, period=4)
+        synth_seasonal(n=0, period=4, seed=0)
     with pytest.raises(ConfigError):
-        synth_seasonal(n=50, period=4, noise_sd=-1.0)
+        synth_seasonal(n=50, period=4, noise_sd=-1.0, seed=0)
 
 
 def test_walk_deterministic_drift():
-    ts = synth_random_walk(n=6, drift=1.0, noise_sd=0.0)
+    ts = synth_random_walk(n=6, drift=1.0, noise_sd=0.0, seed=0)
     assert ts.values.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_walk_zero_everything():
-    assert synth_random_walk(n=5, drift=0.0, noise_sd=0.0).values.tolist() == [0] * 5
+    assert synth_random_walk(n=5, drift=0.0, noise_sd=0.0, seed=0).values.tolist() == [0] * 5
 
 
 def test_walk_deterministic_per_seed():
@@ -263,7 +265,7 @@ def test_ar_deterministic():
 
 def test_ar_too_short():
     with pytest.raises(ConfigError):
-        synth_ar([0.5, 0.2], n=2)
+        synth_ar([0.5, 0.2], n=2, seed=0)
 
 
 def test_ar_warns_on_unstable_coeffs():

@@ -96,6 +96,13 @@ def test_resolve_unknown_kind():
         resolve_source(SynthSource(kind="sawtooth", n=30))
 
 
+def test_resolve_parameter_of_another_kind():
+    with pytest.raises(ConfigError, match="'walk' takes no parameter 'period'"):
+        resolve_source(SynthSource("walk", 30, params={"period": 4}))
+    with pytest.raises(ConfigError, match="'n'"):
+        resolve_source(SynthSource("ar", 30, params={"n": 40}))
+
+
 def test_resolve_csv(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("v\n1.0\n2.0\n3.0\n")

@@ -431,7 +431,7 @@ def out_of_place_train(inputs, targets, centers, widths, config):
     phi = np.exp(-np.sum((inputs[:, None, :] - centers[None, :, :]) ** 2, axis=2)
                  / (2.0 * widths[None, :] ** 2))
     m, n = centers.shape[0], inputs.shape[0]
-    rho, eps, lr = config.decay_rho, config.epsilon, config.learning_rate
+    rho, eps, lr = rbf._RMSPROP_RHO, rbf._RMSPROP_EPS, config.learning_rate
     params, accum = np.zeros(m + 1), np.zeros(m + 1)
     rng = np.random.default_rng([config.seed, 0xB7])
     best, best_mse, history = params.copy(), np.inf, []
@@ -597,8 +597,6 @@ def test_config_validation():
     bad_floats = {
         "learning_rate": (0.0, math.nan, math.inf),
         "target_mse": (0.0, math.nan, math.inf),
-        "decay_rho": (1.0, -0.1, math.nan),
-        "epsilon": (0.0, math.nan, math.inf),
     }
     for key, values in bad_floats.items():
         for value in values:

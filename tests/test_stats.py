@@ -25,6 +25,7 @@ from lagcast.stats import (
     student_t_sf,
     wilcoxon_signed_rank,
 )
+from lagcast.stats import _average_ranks, _exact_min_tail, _normal_tail
 
 mpmath.mp.dps = 40
 
@@ -222,18 +223,24 @@ def test_wilcoxon_normal_approx_close_to_exact():
     rng = np.random.default_rng(31)
     for n in (15, 17, 20):
         d = rng.standard_normal(n) + 0.2
-        exact = wilcoxon_signed_rank(d, np.zeros(n), mode="exact")
-        approx = wilcoxon_signed_rank(d, np.zeros(n), mode="normal")
-        assert approx.method == "wilcoxon_normal_approx"
-        assert abs(exact.p_value - approx.p_value) < 0.01
+        ranks, counts = _average_ranks(np.abs(d))
+        w_min = min(float(np.sum(ranks[d > 0])), float(np.sum(ranks[d < 0])))
+        exact = _exact_min_tail([int(r) for r in ranks], w_min)
+        assert wilcoxon_signed_rank(d, np.zeros(n)).p_exact == exact
+        assert abs(float(exact) - _normal_tail(n, w_min, counts)) < 0.01
 
 
 def test_wilcoxon_ties_fall_back_to_normal():
     d = np.array([1.0, -1.0, 2.0, 3.0, -4.0, 5.0])
     r = wilcoxon_signed_rank(d, np.zeros(6))
     assert r.method == "wilcoxon_normal_approx"
-    with pytest.raises(ConfigError):
-        wilcoxon_signed_rank(d, np.zeros(6), mode="exact")
+    assert r.p_exact is None
+
+
+def test_average_ranks_share_tied_positions():
+    ranks, counts = _average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0]))
+    assert ranks.tolist() == [5.0, 1.5, 5.0, 3.0, 5.0, 1.5]
+    assert counts.tolist() == [2, 1, 3]
 
 
 def test_wilcoxon_large_n_uses_normal():
@@ -264,11 +271,6 @@ def test_wilcoxon_antisymmetry():
     assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
 
 
-def test_wilcoxon_unknown_mode():
-    with pytest.raises(ConfigError):
-        wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0], mode="bogus")
-
-
 # ------------------------------------------------------- significance_verdict
 
 def result_with(p, direction, method="paired_t"):
@@ -279,12 +281,12 @@ def result_with(p, direction, method="paired_t"):
 
 
 def test_verdict_not_significant():
-    assert significance_verdict(result_with(0.2, 1)) == NO_DIFFERENCE
+    assert significance_verdict(result_with(0.2, 1), alpha=0.05) == NO_DIFFERENCE
 
 
 def test_verdict_directions():
-    assert significance_verdict(result_with(0.01, 1)) == B_BETTER
-    assert significance_verdict(result_with(0.01, -1)) == A_BETTER
+    assert significance_verdict(result_with(0.01, 1), alpha=0.05) == B_BETTER
+    assert significance_verdict(result_with(0.01, -1), alpha=0.05) == A_BETTER
 
 
 def test_verdict_boundary_is_strict():
@@ -292,7 +294,7 @@ def test_verdict_boundary_is_strict():
 
 
 def test_verdict_no_direction_means_no_difference():
-    assert significance_verdict(result_with(0.001, 0)) == NO_DIFFERENCE
+    assert significance_verdict(result_with(0.001, 0), alpha=0.05) == NO_DIFFERENCE
 
 
 def test_verdict_alpha_validation():
