@@ -174,8 +174,13 @@ def _join_values(argv: list[str]) -> list[str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main reports it in one line, exit 2
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagcast",
         description="Polynomial and RBF-network one-step forecasting experiments",
     )
@@ -303,9 +308,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(
+            _join_values(sys.argv[1:] if argv is None else argv))
         values = _effective(args, args.command)
         return _HANDLERS[args.command](values)
     except ConfigError as exc:

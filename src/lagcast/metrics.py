@@ -18,16 +18,17 @@ _MEAN_FLOOR = 1e-12
 
 
 def _paired(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of paired inputs, for these metrics and stats' paired tests."""
     obs = np.asarray(observed, dtype=np.float64)
     pred = np.asarray(predicted, dtype=np.float64)
     if obs.ndim != 1 or pred.ndim != 1:
-        raise DataError("metrics expect 1-D vectors")
+        raise DataError("paired inputs must be 1-D vectors")
     if obs.size != pred.size:
-        raise DataError(f"length mismatch: {obs.size} observed vs {pred.size} predicted")
+        raise DataError(f"paired inputs differ in length: {obs.size} vs {pred.size}")
     if obs.size == 0:
-        raise DataError("metrics need at least one point")
+        raise DataError("paired inputs need at least one pair")
     if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(pred))):
-        raise DataError("metrics require finite values")
+        raise DataError("paired inputs must be finite")
     return obs, pred
 
 

@@ -106,22 +106,17 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
 
     Minimizes |M w - t|^2 + lambda |w|^2 by an SVD-based least-squares
     solve on the design itself, stacked over sqrt(lambda) I when
-    lambda > 0; forming M^T M would square its condition number.  When
-    the design is rank deficient at lambda = 0 (constant or exactly
-    collinear windows, or fewer rows than terms) the result is the
-    minimum-norm least-squares solution, with a warning, since every
+    lambda > 0; forming M^T M would square its condition number.  The
+    rank lstsq reports alone decides rank deficiency: constant or
+    exactly collinear windows, or fewer rows than terms, at lambda = 0
+    (or a lambda too small to lift the rank).  The result is then the
+    minimum-norm least-squares solution, with one warning, since every
     least-squares solution predicts identically on the training span.
     A basis of more than DEFAULT_BASIS_CAP terms is a ConfigError.
     """
     if not 0.0 <= ridge_lambda < math.inf:
         raise FitError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
     basis = enumerate_monomials(data.window_d, degree_k)
-    if len(data) < basis.count:
-        warnings.warn(
-            f"{len(data)} training rows for {basis.count} basis terms; "
-            "fit is rank deficient, consider a lower degree or more data",
-            stacklevel=2,
-        )
     m = _design_matrix(basis, data.inputs)
     if not np.all(np.isfinite(m)):
         raise FitError(
@@ -135,8 +130,9 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
     w, _, rank, _ = np.linalg.lstsq(m, t, rcond=None)
     if rank < basis.count:
         warnings.warn(
-            f"design for degree {degree_k} has rank {rank} of {basis.count}; "
-            "using the minimum-norm least-squares solution (raise ridge_lambda to silence)",
+            f"design for degree {degree_k} has rank {rank} of {basis.count} terms "
+            f"from {len(data)} rows; using the minimum-norm least-squares solution "
+            "(lower the degree, add rows, or raise ridge_lambda)",
             stacklevel=2,
         )
     if not np.all(np.isfinite(w)):

@@ -74,9 +74,9 @@ class RbfNetwork:
 class RbfTrainConfig:
     """Knobs for output-layer training and (optionally) growth.
 
-    target_mse and max_units only matter to grow_until_target.  The
-    learning rate and target_mse are checked once here, so the training
-    loop does not re-check them per step.
+    target_mse and max_units, the growth settings, come as a pair and only
+    matter to grow_until_target.  Every field is checked once here, so
+    the training loop does not re-check them per step.
     """
 
     units: int = 24
@@ -101,6 +101,8 @@ class RbfTrainConfig:
             raise ConfigError(f"target_mse must be finite and positive, got {self.target_mse}")
         if self.max_units is not None and self.max_units < 1:
             raise ConfigError(f"max_units must be >= 1, got {self.max_units}")
+        if (self.target_mse is None) != (self.max_units is None):
+            raise ConfigError("growth needs both target_mse and max_units, or neither")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,12 @@ class TrainTrace:
     """Full-dataset MSE after each epoch, plus how training ended."""
 
     epoch_mse: np.ndarray
-    epochs_run: int
     final_units: int
     stop_reason: str  # "epochs", "target_mse" or "max_units"
+
+    @property
+    def epochs_run(self) -> int:
+        return int(self.epoch_mse.size)
 
     @property
     def best_mse(self) -> float:
@@ -383,9 +388,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
 
     net = RbfNetwork(centers=centers, widths=widths,
                      out_weights=best_params[:m], bias=float(best_params[m]))
-    trace = TrainTrace(epoch_mse=history, epochs_run=config.epochs,
-                       final_units=m, stop_reason="epochs")
-    return net, trace
+    return net, TrainTrace(epoch_mse=history, final_units=m, stop_reason="epochs")
 
 
 def _input_scale(inputs: np.ndarray) -> float:
@@ -413,12 +416,11 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
     and under max_units, a new center is placed on the training window
     with the largest absolute residual (lowest row index on ties).
     The trace concatenates every round's epoch history and names the
-    stop condition that fired.
+    stop condition that fired.  A config without growth settings (which
+    RbfTrainConfig only allows as a pair) is a ConfigError.
     """
     if config.target_mse is None:
-        raise ConfigError("grow_until_target requires config.target_mse")
-    if config.max_units is None:
-        raise ConfigError("grow_until_target requires config.max_units")
+        raise ConfigError("grow_until_target requires target_mse and max_units")
     inputs, targets = _check_training_data(inputs, targets)
     n = inputs.shape[0]
     m = min(_GROW_START_UNITS, n, config.max_units)
@@ -439,8 +441,7 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
         residuals = np.abs(batch_forward(net, inputs) - targets)
         centers = np.vstack([centers, inputs[int(np.argmax(residuals))]])
 
-    epoch_mse = np.concatenate(history)
-    return net, TrainTrace(epoch_mse=epoch_mse, epochs_run=int(epoch_mse.size),
+    return net, TrainTrace(epoch_mse=np.concatenate(history),
                            final_units=net.n_units, stop_reason=reason)
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateSampleError
+from .metrics import _paired
 
 # continued-fraction evaluation
 _CF_MAX_ITER = 2000
@@ -125,19 +126,9 @@ class PairedTestResult:
     w_minus: float | None = None
 
 
-def _paired_diffs(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise DataError("paired tests need two 1-D vectors of equal length")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DataError("paired tests require finite values")
-    return a - b
-
-
 def paired_t_test(a, b) -> PairedTestResult:
     """Two-sided paired t-test on the differences a - b."""
-    d = _paired_diffs(a, b)
+    d = np.subtract(*_paired(a, b))
     n = d.size
     if n < 2:
         raise DataError(f"paired t-test needs at least 2 pairs, got {n}")
@@ -193,10 +184,10 @@ def _normal_tail(n: int, w_min: float, tie_counts: np.ndarray) -> float:
     magnitude, and the statistic carries a continuity correction.
     """
     mu = n * (n + 1) / 4.0
+    # sigma2 > 0: the tie term peaks when all n magnitudes tie (t^3 - t is
+    # superadditive), where sigma2 = n(n+1)(2n+1)/24 - (n^3 - n)/48 = n(n+1)^2/16
     tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
     sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if sigma2 <= 0:
-        raise DegenerateSampleError("signed-rank variance collapsed to zero under ties")
     z = (w_min - mu + 0.5) / math.sqrt(sigma2)
     return min(1.0, 2.0 * _normal_cdf(z))
 
@@ -210,7 +201,7 @@ def wilcoxon_signed_rank(a, b) -> PairedTestResult:
     normal approximation with tie-corrected variance and a continuity
     correction.
     """
-    d = _paired_diffs(a, b)
+    d = np.subtract(*_paired(a, b))
     d = d[d != 0.0]
     n = int(d.size)
     if n < 1:

@@ -176,8 +176,16 @@ def refuse_work(*args, **kwargs):
     ["sweep", "--format", "xml"],
     ["sweep", "--degrees", "1..1000000000000000"],
     ["compare", "--seeds", "0..1000000000000000"],
+    ["compare", "--rbf-target-mse", "0.1"],
+    ["compare", "--rbf-max-units", "40"],
+    ["sweep", "--frobnicate", "1"],
+    ["bogus"],
+    [],
+    ["sweep", "--data"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
-        "sweep-huge-degree-range", "compare-huge-seed-range"])
+        "sweep-huge-degree-range", "compare-huge-seed-range",
+        "compare-target-mse-only", "compare-max-units-only", "unknown-option",
+        "unknown-command", "no-command", "option-missing-value"])
 def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
     for name in ("run_comparison", "run_comparison_suite", "run_degree_sweep"):
         monkeypatch.setattr(cli, name, refuse_work)

@@ -125,7 +125,7 @@ def test_solve_matches_lstsq_on_ill_conditioned_walk():
 
 # ------------------------------------------------------------------- rmsprop
 
-RHO, EPS = 0.9, 1e-8  # the RbfTrainConfig defaults
+RHO, EPS = 0.9, 1e-8  # the rbf module's _RMSPROP_RHO and _RMSPROP_EPS
 
 
 def test_rmsprop_hand_step():

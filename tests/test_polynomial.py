@@ -6,6 +6,7 @@ matrix and rolling_forecast on one-row inputs.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,9 +163,19 @@ def test_fit_warns_when_underdetermined():
     data = windows_from(np.sin(np.arange(10.0)), 4)
     with pytest.warns(UserWarning) as caught:
         fit(data, degree_k=3)
+    assert len(caught) == 1  # one warning, from the rank lstsq reports
     messages = " / ".join(str(w.message) for w in caught)
     assert "rows" in messages  # too few rows for the basis
     assert "minimum-norm" in messages  # and the fallback actually fired
+
+
+def test_ridge_fit_with_fewer_rows_than_terms_does_not_warn():
+    # the stacked sqrt(lambda) I gives the design full rank
+    data = windows_from(np.sin(np.arange(10.0)), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(data, degree_k=3, ridge_lambda=0.1)
+    assert len(data) < model.basis.count
 
 
 def test_fit_overflow_is_a_fit_error():

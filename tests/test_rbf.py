@@ -451,7 +451,7 @@ def out_of_place_train(inputs, targets, centers, widths, config):
             best_mse, best = mse, params.copy()
     net = RbfNetwork(centers=centers, widths=widths, out_weights=best[:m],
                      bias=float(best[m]))
-    return net, TrainTrace(epoch_mse=np.array(history), epochs_run=config.epochs,
+    return net, TrainTrace(epoch_mse=np.array(history),
                            final_units=m, stop_reason="epochs")
 
 
@@ -570,6 +570,8 @@ def test_grow_requires_target_and_cap():
     with pytest.raises(ConfigError):
         grow_until_target(data.inputs, data.targets,
                           RbfTrainConfig(units=4, target_mse=0.1))
+    with pytest.raises(ConfigError, match="requires target_mse and max_units"):
+        grow_until_target(data.inputs, data.targets, RbfTrainConfig(units=4))
 
 
 def test_grow_golden_sinusoid_reaches_target():
@@ -594,6 +596,11 @@ def test_config_validation():
         RbfTrainConfig(units=4, epochs=0)
     with pytest.raises(ConfigError):
         RbfTrainConfig(units=4, max_units=0)
+    # growth settings come as a pair
+    with pytest.raises(ConfigError, match="both target_mse and max_units"):
+        RbfTrainConfig(units=4, target_mse=0.1)
+    with pytest.raises(ConfigError, match="both target_mse and max_units"):
+        RbfTrainConfig(units=4, max_units=40)
     bad_floats = {
         "learning_rate": (0.0, math.nan, math.inf),
         "target_mse": (0.0, math.nan, math.inf),

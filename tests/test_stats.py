@@ -142,6 +142,12 @@ def test_t_needs_two_pairs():
         paired_t_test([1.0], [2.0])
 
 
+def test_empty_pairs_are_a_data_error():
+    for paired_test in (paired_t_test, wilcoxon_signed_rank):
+        with pytest.raises(DataError, match="at least one pair"):
+            paired_test([], [])
+
+
 def test_t_antisymmetry():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(12)
@@ -235,6 +241,11 @@ def test_wilcoxon_ties_fall_back_to_normal():
     r = wilcoxon_signed_rank(d, np.zeros(6))
     assert r.method == "wilcoxon_normal_approx"
     assert r.p_exact is None
+    # every magnitude tied: the tie-corrected variance is at its least,
+    # n(n+1)^2/16, and W+ = W- sits on the mean
+    r = wilcoxon_signed_rank(np.repeat([1.0, -1.0], 15), np.zeros(30))
+    assert r.method == "wilcoxon_normal_approx"
+    assert r.p_value == 1.0
 
 
 def test_average_ranks_share_tied_positions():
