@@ -34,13 +34,14 @@ from .rbf import RbfTrainConfig
 _MAX_RANGE = 100_000
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
+def _parse_has_header(no_header: str) -> bool:
+    """The boolean value of --no-header, as CsvSource.has_header."""
+    t = no_header.strip().lower()
     if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse {text!r} as a boolean")
+    if t in ("0", "false", "no", "off"):
+        return True
+    raise ConfigError(f"cannot parse {no_header!r} as a boolean")
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -83,37 +84,54 @@ def _wrap(conv, key: str):
 
 _REQUIRED = object()  # the default of an option that must be given
 
-# dest -> (converter, default).  An option whose default is None, given
-# neither as a flag nor in the config file, is left out, so the library's
-# default applies.
-_CSV = {"data": (str, _REQUIRED), "column": (_parse_column, None),
-        "no_header": (_parse_bool, None)}
-_PROTOCOL = {"window": (int, None), "degrees": (_parse_int_list, None),
-             "ridge_lambda": (float, None), "train_fraction": (float, None)}
-_SYNTH_PARAMS = {"period": (int, None), "amplitude": (float, None),
-                 "trend": (float, None), "noise_sd": (float, None),
-                 "drift": (float, None), "coeffs": (_parse_float_list, None)}
+# key -> (converter, CLI default, target).  The target "group.param" names
+# the parameter the option sets: csv of CsvSource, exp of ExperimentConfig,
+# rbf of RbfTrainConfig, synth of SynthSource, gen of the synthetic
+# generator, cli of the command itself.  An option whose default is None,
+# given neither as a flag nor in the config file, is left out, so the
+# library's default applies.
+_CSV = {"data": (str, _REQUIRED, "csv.path"), "column": (_parse_column, None, "csv.column"),
+        "no_header": (_parse_has_header, None, "csv.has_header")}
+_PROTOCOL = {"window": (int, None, "exp.window_d"),
+             "degrees": (_parse_int_list, None, "exp.degrees"),
+             "lambda": (float, None, "exp.ridge_lambda"),
+             "train_fraction": (float, None, "exp.train_fraction")}
 _SPECS = {
-    "synth": {"kind": (str, _REQUIRED), "n": (int, _REQUIRED), "seed": (int, None),
-              "out": (str, _REQUIRED), **_SYNTH_PARAMS},
-    "sweep": {**_CSV, **_PROTOCOL, "format": (_parse_format, "markdown"),
-              "out": (str, None)},
-    # compare departs from the library on purpose: PC at degree 1 and
-    # RBFNN at the paper's settings
-    "compare": {
-        **_CSV, **_PROTOCOL, "degrees": (_parse_int_list, (1,)), "alpha": (float, None),
-        "rbf_units": (int, 36), "rbf_lr": (float, 0.000264), "rbf_epochs": (int, 60),
-        "rbf_batch": (int, 109), "rbf_target_mse": (float, None),
-        "rbf_max_units": (int, None), "seeds": (_parse_int_list, None),
-        "format": (_parse_format, "json"), "out": (str, None),
+    "synth": {
+        "kind": (str, _REQUIRED, "synth.kind"), "n": (int, _REQUIRED, "synth.n"),
+        "seed": (int, None, "synth.seed"), "out": (str, _REQUIRED, "cli.out"),
+        "period": (int, None, "gen.period"), "amplitude": (float, None, "gen.amplitude"),
+        "trend": (float, None, "gen.trend"), "noise_sd": (float, None, "gen.noise_sd"),
+        "drift": (float, None, "gen.drift"), "coeffs": (_parse_float_list, None, "gen.coeffs"),
     },
-    "forecast": {"model": (str, _REQUIRED), **_CSV, "out": (str, _REQUIRED)},
+    "sweep": {**_CSV, **_PROTOCOL, "format": (_parse_format, "markdown", "cli.format"),
+              "out": (str, None, "cli.out")},
+    # compare departs from the library on purpose: RBFNN at the paper's settings
+    "compare": {
+        **_CSV, **_PROTOCOL, "alpha": (float, None, "exp.alpha"),
+        "rbf_units": (int, 36, "rbf.units"), "rbf_lr": (float, 0.000264, "rbf.learning_rate"),
+        "rbf_epochs": (int, 60, "rbf.epochs"), "rbf_batch": (int, 109, "rbf.batch_size"),
+        "rbf_target_mse": (float, None, "rbf.target_mse"),
+        "rbf_max_units": (int, None, "rbf.max_units"),
+        "seeds": (_parse_int_list, None, "exp.seeds"),
+        "format": (_parse_format, "json", "cli.format"), "out": (str, None, "cli.out"),
+    },
+    "forecast": {"model": (str, _REQUIRED, "cli.model"), **_CSV,
+                 "out": (str, _REQUIRED, "cli.out")},
 }
+_ALIASES = {"ridge_lambda": "lambda"}  # alias -> key, as a flag and a config-file key
+
+
+def _flags(key: str) -> list[str]:
+    """Every command-line spelling of an option."""
+    names = [key] + [alias for alias, k in _ALIASES.items() if k == key]
+    return ["--" + name.replace("_", "-") for name in names]
+
 
 # every flag that takes a value, spelled as on the command line
-_VALUE_FLAGS = {"--config", "--lambda"} | {
-    "--" + key.replace("_", "-")
-    for spec in _SPECS.values() for key, (conv, _) in spec.items() if conv is not _parse_bool
+_VALUE_FLAGS = {"--config"} | {
+    flag for spec in _SPECS.values() for key, (conv, _, _) in spec.items()
+    if conv is not _parse_has_header for flag in _flags(key)
 }
 
 
@@ -131,12 +149,17 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        values[_ALIASES.get(key, key)] = value.strip()
     return values
 
 
 def _effective(args: argparse.Namespace, command: str) -> dict:
-    """Layer CLI defaults, config-file values and flags; check each one."""
+    """Layer CLI defaults, config-file values and flags; check each one.
+
+    Returns {group: {param: value}}, with every group of the command's
+    targets present, so each handler builds its config objects directly.
+    """
     spec = _SPECS[command]
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(spec)
@@ -144,18 +167,20 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
         raise ConfigError(
             f"config file keys not recognized for '{command}': {', '.join(sorted(unknown))}"
         )
-    out = {}
-    for key, (conv, default) in spec.items():
+    groups = {}
+    for key, (conv, default, target) in spec.items():
+        group, param = target.split(".")
+        values = groups.setdefault(group, {})
         flag_value = getattr(args, key)
         if flag_value is not None:
-            out[key] = _wrap(conv, key)(flag_value)
+            values[param] = _wrap(conv, key)(flag_value)
         elif key in file_values:
-            out[key] = _wrap(conv, key)(file_values[key])
+            values[param] = _wrap(conv, key)(file_values[key])
         elif default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         elif default is not None:
-            out[key] = default
-    return out
+            values[param] = default
+    return groups
 
 
 def _join_values(argv: list[str]) -> list[str]:
@@ -188,14 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     for command, spec in _SPECS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key = value file")
-        for key, (conv, _) in spec.items():
-            flag = f"--{key.replace('_', '-')}"
-            if key == "ridge_lambda":
-                p.add_argument("--lambda", "--ridge-lambda", dest=key, default=None)
-            elif conv is _parse_bool:
-                p.add_argument(flag, dest=key, nargs="?", const="true", default=None)
+        for key, (conv, _, _) in spec.items():
+            if conv is _parse_has_header:
+                p.add_argument(*_flags(key), dest=key, nargs="?", const="true", default=None)
             else:
-                p.add_argument(flag, dest=key, default=None)
+                p.add_argument(*_flags(key), dest=key, default=None)
     return parser
 
 
@@ -213,62 +235,37 @@ def _emit(text: str, out: str | None):
         _write(out, text + "\n")
 
 
-def _given(v: dict, **names: str) -> dict:
-    """The options of names present in v, keyed by the parameter each sets."""
-    return {param: v[key] for key, param in names.items() if key in v}
-
-
-def _csv_source(v: dict) -> CsvSource:
-    kwargs = _given(v, column="column")
-    if "no_header" in v:
-        kwargs["has_header"] = not v["no_header"]
-    return CsvSource(path=v["data"], **kwargs)
-
-
-def _cmd_synth(v: dict) -> int:
-    params = {key: v[key] for key in _SYNTH_PARAMS if key in v}
-    series = resolve_source(SynthSource(kind=v["kind"], n=v["n"], params=params,
-                                        **_given(v, seed="seed")))
+def _cmd_synth(g: dict) -> int:
+    series = resolve_source(SynthSource(**g["synth"], params=g["gen"]))
+    out = g["cli"]["out"]
     lines = ["t,v"] + [f"{i},{float(val)!r}" for i, val in enumerate(series.values)]
-    _write(v["out"], "\n".join(lines) + "\n")
-    print(f"wrote {len(series)} points to {v['out']}")
+    _write(out, "\n".join(lines) + "\n")
+    print(f"wrote {len(series)} points to {out}")
     return 0
 
 
-def _experiment_config(v: dict, **extra) -> ExperimentConfig:
-    return ExperimentConfig(
-        source=_csv_source(v),
-        **_given(v, window="window_d", train_fraction="train_fraction",
-                 degrees="degrees", ridge_lambda="ridge_lambda", seeds="seeds",
-                 alpha="alpha"),
-        **extra,
-    )
-
-
-def _cmd_sweep(v: dict) -> int:
-    result = run_degree_sweep(_experiment_config(v))
-    _emit(render_report(result, v["format"]), v.get("out"))
+def _cmd_sweep(g: dict) -> int:
+    result = run_degree_sweep(ExperimentConfig(source=CsvSource(**g["csv"]), **g["exp"]))
+    _emit(render_report(result, g["cli"]["format"]), g["cli"].get("out"))
     if all(r.failed for r in result.rows):
         print("every degree failed to fit", file=sys.stderr)
         return 4
     return 0
 
 
-def _cmd_compare(v: dict) -> int:
-    rbf_config = RbfTrainConfig(**_given(
-        v, rbf_units="units", rbf_batch="batch_size", rbf_epochs="epochs",
-        rbf_lr="learning_rate", rbf_target_mse="target_mse",
-        rbf_max_units="max_units"))
-    config = _experiment_config(v, rbf_config=rbf_config)
+def _cmd_compare(g: dict) -> int:
+    config = ExperimentConfig(source=CsvSource(**g["csv"]),
+                              rbf_config=RbfTrainConfig(**g["rbf"]), **g["exp"])
     if len(config.seeds) == 1:
         result = run_comparison(config)
     else:
         result = run_comparison_suite(config)
-    _emit(render_report(result, v["format"]), v.get("out"))
+    _emit(render_report(result, g["cli"]["format"]), g["cli"].get("out"))
     return 0
 
 
-def _cmd_forecast(v: dict) -> int:
+def _cmd_forecast(g: dict) -> int:
+    v = g["cli"]
     try:
         text = Path(v["model"]).read_text()
     except OSError as exc:
@@ -288,7 +285,7 @@ def _cmd_forecast(v: dict) -> int:
         predict_all = lambda w: rbf.batch_forward(net, w.inputs)
     else:
         raise DataError(f"{v['model']} is neither a polynomial nor an RBF model document")
-    windows = make_windows(resolve_source(_csv_source(v)), d)
+    windows = make_windows(resolve_source(CsvSource(**g["csv"])), d)
     preds = predict_all(windows)
     if not np.all(np.isfinite(preds)):
         raise DataError(f"{v['model']} gives non-finite forecasts on this series")

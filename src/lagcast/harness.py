@@ -37,6 +37,9 @@ RBFNN = "RBFNN"
 
 REPORT_FORMATS = ("markdown", "csv", "json")
 
+# the paper's table, in column order: a row's time, then its three metrics
+_TABLE_FIELDS = ("exec_seconds", "mae", "rmse", "cv_rmse_pct")
+
 
 @dataclass(frozen=True)
 class CsvSource:
@@ -104,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        for s in self.seeds:  # RbfTrainConfig decides which seeds are valid
+            replace(self.rbf_config, seed=s)
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -153,6 +158,13 @@ def windowed_split(series: TimeSeries, d: int,
     return train, test
 
 
+def _table_fields(row) -> dict:
+    """A SweepRow's or ModelRow's _TABLE_FIELDS; a failed row's metrics are None."""
+    m = row.metrics
+    return {"exec_seconds": row.exec_seconds,
+            **{k: getattr(m, k) if m else None for k in _TABLE_FIELDS[1:]}}
+
+
 @dataclass(frozen=True)
 class SweepRow:
     degree: int
@@ -173,16 +185,8 @@ class SweepResult:
     rows: tuple
 
     def to_dict(self) -> dict:
-        rows = []
-        for r in self.rows:
-            rows.append({
-                "degree": r.degree,
-                "exec_seconds": r.exec_seconds,
-                "mae": r.metrics.mae if r.metrics else None,
-                "rmse": r.metrics.rmse if r.metrics else None,
-                "cv_rmse_pct": r.metrics.cv_rmse_pct if r.metrics else None,
-                "error": r.error,
-            })
+        rows = [{"degree": r.degree, **_table_fields(r), "error": r.error}
+                for r in self.rows]
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "dataset": self.dataset,
@@ -257,17 +261,8 @@ class ComparisonReport:
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "dataset": self.dataset,
-            "models": [
-                {
-                    "model": m.model,
-                    "exec_seconds": m.exec_seconds,
-                    "mae": m.metrics.mae,
-                    "rmse": m.metrics.rmse,
-                    "cv_rmse_pct": m.metrics.cv_rmse_pct,
-                    "detail": m.detail,
-                }
-                for m in self.models
-            ],
+            "models": [{"model": m.model, **_table_fields(m), "detail": m.detail}
+                       for m in self.models],
             "tests": {
                 "paired_t": test_dict(self.t_test),
                 "wilcoxon": test_dict(self.wilcoxon),
@@ -399,35 +394,44 @@ def run_comparison_suite(config: ExperimentConfig) -> ComparisonSuite:
     reports = tuple(run_comparison(config, seed=s) for s in config.seeds)
     summary = {}
     for idx, name in ((0, PC), (1, RBFNN)):
-        rows = [r.models[idx] for r in reports]
-        summary[name] = {
-            "exec_seconds": float(np.median([m.exec_seconds for m in rows])),
-            "mae": float(np.median([m.metrics.mae for m in rows])),
-            "rmse": float(np.median([m.metrics.rmse for m in rows])),
-            "cv_rmse_pct": float(np.median([m.metrics.cv_rmse_pct for m in rows])),
-        }
+        rows = [_table_fields(r.models[idx]) for r in reports]
+        summary[name] = {k: float(np.median([row[k] for row in rows]))
+                         for k in _TABLE_FIELDS}
     return ComparisonSuite(reports=reports, median_summary=summary)
 
 
 # -- rendering ---------------------------------------------------------
 
-_COMPARE_HEADER = "Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)"
-_SWEEP_HEADER = "Degree | Execution Time (s) | MAE | RMSE | CV(RMSE) (%) | Status"
+# (markdown, csv) headings of the _TABLE_FIELDS columns
+_FIELD_HEADS = tuple(zip(("Execution Time (s)", "MAE", "RMSE", "CV(RMSE) (%)"),
+                         _TABLE_FIELDS))
+_MODEL_HEADS = (("Model", "model"),) + _FIELD_HEADS
 
 
-def _fmt_metrics(exec_seconds: float | None, metrics: MetricReport | None) -> list[str]:
-    if metrics is None:
-        return ["-", "-", "-", "-"]
-    return [
-        f"{exec_seconds:.2f}",
-        f"{metrics.mae:.4f}",
-        f"{metrics.rmse:.4f}",
-        f"{metrics.cv_rmse_pct:.4f}",
-    ]
+def _cells(fields: dict) -> list[str]:
+    if fields["mae"] is None:
+        return ["-"] * len(_TABLE_FIELDS)
+    return [f"{fields['exec_seconds']:.2f}"] + [f"{fields[k]:.4f}" for k in _TABLE_FIELDS[1:]]
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+def _table(fmt: str, heads, rows, title: str = "", notes=()) -> str:
+    """Write one table as markdown (title, table, notes) or csv (table only).
+
+    heads are (markdown, csv) heading pairs; a cell is a string, or a
+    (markdown, csv) pair where the two differ.  csv cells never hold a
+    comma: it becomes ';'.
+    """
+    def pick(cell) -> str:
+        return cell if isinstance(cell, str) else cell[fmt == "csv"]
+
+    if fmt == "csv":
+        return "\n".join(",".join(pick(c).replace(",", ";") for c in line)
+                         for line in [heads, *rows])
+    grid = [heads, ["---"] * len(heads), *rows]
+    lines = [title, "", *(" | ".join(map(pick, line)) for line in grid)]
+    if notes:
+        lines += ["", *notes]
+    return "\n".join(lines)
 
 
 def _test_line(label: str, t: PairedTestResult | None) -> str:
@@ -437,86 +441,53 @@ def _test_line(label: str, t: PairedTestResult | None) -> str:
             f"n={t.n_effective}")
 
 
-def render_comparison(report: ComparisonReport, fmt: str = "markdown") -> str:
-    if fmt == "json":
-        return _json_text(report.to_dict())
+def _sweep_table(result: SweepResult, fmt: str) -> str:
+    heads = (("Degree", "degree"),) + _FIELD_HEADS + (("Status", "error"),)
+    rows = [[str(r.degree), *_cells(_table_fields(r)),
+             ("ok", "") if r.error is None else (f"failed: {r.error}", r.error)]
+            for r in result.rows]
+    return _table(fmt, heads, rows, f"### {result.dataset} (window d={result.window_d})")
+
+
+def _comparison_table(report: ComparisonReport, fmt: str) -> str:
+    rows = [[m.model, *_cells(_table_fields(m))] for m in report.models]
     if fmt == "csv":
-        lines = ["model,exec_seconds,mae,rmse,cv_rmse_pct"]
-        for m in report.models:
-            lines.append(",".join([m.model] + _fmt_metrics(m.exec_seconds, m.metrics)))
-        lines.append(f"verdict,{report.verdict},,,")
-        return "\n".join(lines)
-    if fmt == "markdown":
-        sep = " | ".join(["---"] * 5)
-        lines = [f"### {report.dataset}", "", _COMPARE_HEADER, sep]
-        for m in report.models:
-            lines.append(" | ".join([m.model] + _fmt_metrics(m.exec_seconds, m.metrics)))
-        lines.append("")
-        lines.append(_test_line("Paired t-test", report.t_test))
-        lines.append(_test_line("Wilcoxon signed-rank", report.wilcoxon))
-        verdict = report.verdict + (" (degenerate sample)" if report.degenerate else "")
-        lines.append(f"Verdict: {verdict}")
-        return "\n".join(lines)
-    raise ConfigError(f"unknown format {fmt!r}")
+        rows.append(["verdict", report.verdict, "", "", ""])
+    verdict = report.verdict + (" (degenerate sample)" if report.degenerate else "")
+    notes = [_test_line("Paired t-test", report.t_test),
+             _test_line("Wilcoxon signed-rank", report.wilcoxon),
+             f"Verdict: {verdict}"]
+    return _table(fmt, _MODEL_HEADS, rows, f"### {report.dataset}", notes)
 
 
-def render_sweep(result: SweepResult, fmt: str = "markdown") -> str:
-    if fmt == "json":
-        return _json_text(result.to_dict())
+def _suite_table(suite: ComparisonSuite, fmt: str) -> str:
     if fmt == "csv":
-        lines = ["degree,exec_seconds,mae,rmse,cv_rmse_pct,error"]
-        for r in result.rows:
-            cells = [str(r.degree)] + _fmt_metrics(r.exec_seconds, r.metrics)
-            cells.append("" if r.error is None else r.error.replace(",", ";"))
-            lines.append(",".join(cells))
-        return "\n".join(lines)
-    if fmt == "markdown":
-        sep = " | ".join(["---"] * 6)
-        lines = [f"### {result.dataset} (window d={result.window_d})", "",
-                 _SWEEP_HEADER, sep]
-        for r in result.rows:
-            cells = [str(r.degree)] + _fmt_metrics(r.exec_seconds, r.metrics)
-            cells.append("ok" if r.error is None else f"failed: {r.error}")
-            lines.append(" | ".join(cells))
-        return "\n".join(lines)
-    raise ConfigError(f"unknown format {fmt!r}")
+        heads = (("Seed", "seed"),) + _MODEL_HEADS + (("Verdict", "verdict"),)
+        rows = [[str(r.metadata["seed"]), m.model, *_cells(_table_fields(m)), r.verdict]
+                for r in suite.reports for m in r.models]
+        return _table(fmt, heads, rows)
+    median = [[name, *_cells(suite.median_summary[name])] for name in (PC, RBFNN)]
+    parts = [_comparison_table(r, fmt) for r in suite.reports]
+    return "\n\n".join(parts + [_table(fmt, _MODEL_HEADS, median, "## Median over seeds")])
 
 
-def render_suite(suite: ComparisonSuite, fmt: str = "markdown") -> str:
-    if fmt == "json":
-        return _json_text(suite.to_dict())
-    if fmt == "csv":
-        lines = ["seed,model,exec_seconds,mae,rmse,cv_rmse_pct,verdict"]
-        for r in suite.reports:
-            for m in r.models:
-                lines.append(",".join(
-                    [str(r.metadata["seed"]), m.model]
-                    + _fmt_metrics(m.exec_seconds, m.metrics) + [r.verdict]
-                ))
-        return "\n".join(lines)
-    if fmt == "markdown":
-        parts = [render_comparison(r, "markdown") for r in suite.reports]
-        lines = ["## Median over seeds", "", _COMPARE_HEADER,
-                 " | ".join(["---"] * 5)]
-        for name in (PC, RBFNN):
-            s = suite.median_summary[name]
-            lines.append(" | ".join([
-                name, f"{s['exec_seconds']:.2f}", f"{s['mae']:.4f}",
-                f"{s['rmse']:.4f}", f"{s['cv_rmse_pct']:.4f}",
-            ]))
-        return "\n\n".join(parts + ["\n".join(lines)])
-    raise ConfigError(f"unknown format {fmt!r}")
+_TABLES = {SweepResult: _sweep_table, ComparisonReport: _comparison_table,
+           ComparisonSuite: _suite_table}
 
 
 def render_report(obj, fmt: str = "markdown") -> str:
-    """Render any harness result in markdown, csv or json."""
-    if isinstance(obj, ComparisonReport):
-        return render_comparison(obj, fmt)
-    if isinstance(obj, SweepResult):
-        return render_sweep(obj, fmt)
-    if isinstance(obj, ComparisonSuite):
-        return render_suite(obj, fmt)
-    raise ConfigError(f"cannot render object of type {type(obj).__name__}")
+    """Render a sweep, comparison or suite in markdown, csv or json."""
+    table = _TABLES.get(type(obj))
+    if table is None:
+        raise ConfigError(f"cannot render object of type {type(obj).__name__}")
+    if fmt not in REPORT_FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
+    if fmt == "json":
+        return json.dumps(obj.to_dict(), indent=2)
+    return table(obj, fmt)
+
+
+render_comparison = render_report  # the older name, which the acceptance tests import
 
 
 _TEST_SCHEMA = {

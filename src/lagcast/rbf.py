@@ -94,6 +94,8 @@ class RbfTrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}")
@@ -201,7 +203,7 @@ def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
     return assign
 
 
-def init_centers(inputs: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
+def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
     """k-means centers over the input rows, k-means++ seeded, Lloyd refined.
 
     Deterministic per seed.  Runs at most 100 Lloyd iterations, stopping
@@ -314,21 +316,21 @@ def loss_gradient(net: RbfNetwork, inputs: np.ndarray,
 
 
 def rmsprop_step(params: np.ndarray, accum: np.ndarray, grads: np.ndarray,
-                 learning_rate: float, decay_rho: float, epsilon: float):
+                 learning_rate: float):
     """One RMSprop update (Tieleman & Hinton, 2012), in place on params and accum.
 
     accum <- rho * accum + (1 - rho) * g^2
     params <- params - lr * g / (sqrt(accum) + eps)
 
-    train passes the module's smoothing constants and a learning rate
-    checked once by RbfTrainConfig; only the gradient, which changes
-    every step, is checked here.
+    rho and eps are the module's _RMSPROP_RHO and _RMSPROP_EPS; train
+    passes a learning rate checked once by RbfTrainConfig, so only the
+    gradient, which changes every step, is checked here.
     """
     if not np.isfinite(grads).all():
         raise FitError("rmsprop_step: non-finite gradient (learning rate likely too high)")
-    accum *= decay_rho
-    accum += (1.0 - decay_rho) * grads**2
-    params -= learning_rate * grads / (np.sqrt(accum) + epsilon)
+    accum *= _RMSPROP_RHO
+    accum += (1.0 - _RMSPROP_RHO) * grads**2
+    params -= learning_rate * grads / (np.sqrt(accum) + _RMSPROP_EPS)
 
 
 def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
@@ -353,7 +355,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     m = centers.shape[0]
     n = inputs.shape[0]
     bs = config.batch_size
-    lr, rho, eps = config.learning_rate, _RMSPROP_RHO, _RMSPROP_EPS
+    lr = config.learning_rate
 
     phi = _activation_matrix(centers, widths, inputs)
     params = np.zeros(m + 1)
@@ -374,7 +376,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
             size = err.size
             grad[:m] = 2.0 * phi_b.T @ err / size
             grad[m] = 2.0 * (err.sum() / size)
-            rmsprop_step(params, accum, grad, lr, rho, eps)
+            rmsprop_step(params, accum, grad, lr)
         mse = float(np.mean((phi @ w + params[m] - targets) ** 2))
         if not np.isfinite(mse):
             raise FitError(

@@ -178,13 +178,16 @@ def refuse_work(*args, **kwargs):
     ["compare", "--seeds", "0..1000000000000000"],
     ["compare", "--rbf-target-mse", "0.1"],
     ["compare", "--rbf-max-units", "40"],
+    ["compare", "--seeds", "-1"],
+    ["compare", "--seeds", "0,-1"],
     ["sweep", "--frobnicate", "1"],
     ["bogus"],
     [],
     ["sweep", "--data"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
         "sweep-huge-degree-range", "compare-huge-seed-range",
-        "compare-target-mse-only", "compare-max-units-only", "unknown-option",
+        "compare-target-mse-only", "compare-max-units-only", "compare-negative-seed",
+        "compare-negative-second-seed", "unknown-option",
         "unknown-command", "no-command", "option-missing-value"])
 def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
     for name in ("run_comparison", "run_comparison_suite", "run_degree_sweep"):
@@ -230,8 +233,7 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     paper = rbf.RbfTrainConfig(units=36, learning_rate=0.000264, epochs=60,
                                batch_size=109)
-    report = run_comparison(ExperimentConfig(source=source, degrees=(1,),
-                                             rbf_config=paper))
+    report = run_comparison(ExperimentConfig(source=source, rbf_config=paper))
     assert without_times(got) == without_times(json.loads(render_report(report, "json")))
 
 

@@ -1,6 +1,7 @@
 """Experiment orchestration, report rendering and the report schemas."""
 
 import json
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -12,15 +13,16 @@ from lagcast.harness import (
     COMPARISON_REPORT_SCHEMA,
     COMPARISON_SUITE_SCHEMA,
     ComparisonReport,
+    ComparisonSuite,
     CsvSource,
     ExperimentConfig,
     ModelRow,
+    SweepResult,
+    SweepRow,
     SynthSource,
     config_hash,
     render_comparison,
     render_report,
-    render_suite,
-    render_sweep,
     resolve_source,
     run_comparison,
     run_comparison_suite,
@@ -29,6 +31,7 @@ from lagcast.harness import (
 )
 from lagcast.metrics import MetricReport
 from lagcast.rbf import RbfTrainConfig
+from lagcast.stats import PairedTestResult
 
 QUICK_RBF = RbfTrainConfig(units=8, batch_size=16, epochs=12,
                            learning_rate=0.02, seed=0)
@@ -120,6 +123,8 @@ def test_config_validation():
         ExperimentConfig(source=src, degrees=())
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, seeds=())
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(source=src, seeds=(0, -1))
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, alpha=1.5)
     with pytest.raises(ConfigError):
@@ -252,6 +257,88 @@ def fixture_report():
     )
 
 
+def fixture_sweep():
+    ok = MetricReport(mae=0.123456, rmse=0.234567, cv_rmse_pct=3.456789, n=40)
+    return SweepResult(dataset="gold", window_d=4, ridge_lambda=0.0, rows=(
+        SweepRow(degree=1, exec_seconds=0.0123, metrics=ok),
+        SweepRow(degree=2, exec_seconds=None, metrics=None,
+                 error="design for degree 2 is singular, refit"),
+    ))
+
+
+def fixture_suite():
+    first = fixture_report()
+    second = replace(
+        first, verdict="PC_better", degenerate=False, metadata={"seed": 1},
+        t_test=PairedTestResult("paired_t", -2.5, 0.0123, 50, -1),
+        wilcoxon=PairedTestResult("wilcoxon_normal_approx", 412.0, 0.0456, 48, -1,
+                                  w_plus=412.0, w_minus=764.0),
+    )
+    summary = {"PC": {"exec_seconds": 0.2, "mae": 23.5, "rmse": 30.6, "cv_rmse_pct": 1.66},
+               "RBFNN": {"exec_seconds": 0.31, "mae": 24.0, "rmse": 31.0, "cv_rmse_pct": 1.7}}
+    return ComparisonSuite(reports=(first, second), median_summary=summary)
+
+
+_GOLD_COMPARISON_MD = """### gold
+
+Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
+--- | --- | --- | --- | ---
+PC | 0.15 | 23.4758 | 30.5953 | 1.6603
+RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000
+
+Paired t-test: not available (degenerate sample)
+Wilcoxon signed-rank: not available (degenerate sample)
+Verdict: no_significant_difference (degenerate sample)"""
+
+GOLDEN_TEXT = {
+    ("sweep", "markdown"): """### gold (window d=4)
+
+Degree | Execution Time (s) | MAE | RMSE | CV(RMSE) (%) | Status
+--- | --- | --- | --- | --- | ---
+1 | 0.01 | 0.1235 | 0.2346 | 3.4568 | ok
+2 | - | - | - | - | failed: design for degree 2 is singular, refit""",
+    ("sweep", "csv"): """degree,exec_seconds,mae,rmse,cv_rmse_pct,error
+1,0.01,0.1235,0.2346,3.4568,
+2,-,-,-,-,design for degree 2 is singular; refit""",
+    ("comparison", "markdown"): _GOLD_COMPARISON_MD,
+    ("comparison", "csv"): """model,exec_seconds,mae,rmse,cv_rmse_pct
+PC,0.15,23.4758,30.5953,1.6603
+RBFNN,0.31,24.0000,31.0000,1.7000
+verdict,no_significant_difference,,,""",
+    ("suite", "markdown"): _GOLD_COMPARISON_MD + """
+
+### gold
+
+Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
+--- | --- | --- | --- | ---
+PC | 0.15 | 23.4758 | 30.5953 | 1.6603
+RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000
+
+Paired t-test: statistic=-2.5000, p=0.0123, n=50
+Wilcoxon signed-rank: statistic=412.0000, p=0.0456, n=48
+Verdict: PC_better
+
+## Median over seeds
+
+Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
+--- | --- | --- | --- | ---
+PC | 0.20 | 23.5000 | 30.6000 | 1.6600
+RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000""",
+    ("suite", "csv"): """seed,model,exec_seconds,mae,rmse,cv_rmse_pct,verdict
+0,PC,0.15,23.4758,30.5953,1.6603,no_significant_difference
+0,RBFNN,0.31,24.0000,31.0000,1.7000,no_significant_difference
+1,PC,0.15,23.4758,30.5953,1.6603,PC_better
+1,RBFNN,0.31,24.0000,31.0000,1.7000,PC_better""",
+}
+
+_FIXTURES = {"sweep": fixture_sweep, "comparison": fixture_report, "suite": fixture_suite}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GOLDEN_TEXT))
+def test_golden_text(kind, fmt):
+    assert render_report(_FIXTURES[kind](), fmt) == GOLDEN_TEXT[kind, fmt]
+
+
 def test_markdown_fixture_row():
     text = render_comparison(fixture_report(), "markdown")
     assert "Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)" in text
@@ -291,14 +378,14 @@ def test_sweep_render_marks_failures(tmp_path):
     cfg = ExperimentConfig(source=CsvSource(path=str(p), column="v"),
                            window_d=2, degrees=(5,), rbf_config=QUICK_RBF)
     result = run_degree_sweep(cfg)
-    md = render_sweep(result, "markdown")
+    md = render_report(result, "markdown")
     assert "failed:" in md
-    csv_text = render_sweep(result, "csv")
+    csv_text = render_report(result, "csv")
     assert csv_text.splitlines()[1].startswith("5,-,-,-,-")
 
 
 def test_suite_csv_lists_each_seed():
     suite = run_comparison_suite(seasonal_config(seeds=(0, 1)))
-    lines = render_suite(suite, "csv").splitlines()
+    lines = render_report(suite, "csv").splitlines()
     assert lines[0].startswith("seed,model,")
     assert len(lines) == 1 + 2 * 2

@@ -130,27 +130,27 @@ RHO, EPS = 0.9, 1e-8  # the rbf module's _RMSPROP_RHO and _RMSPROP_EPS
 
 def test_rmsprop_hand_step():
     params, accum = np.array([0.0]), np.zeros(1)
-    rmsprop_step(params, accum, np.array([4.0]), 0.1, RHO, EPS)
+    rmsprop_step(params, accum, np.array([4.0]), 0.1)
     assert accum[0] == pytest.approx(1.6, abs=1e-12)
     assert params[0] == pytest.approx(-0.31623, abs=1e-5)
 
 
 def test_rmsprop_zero_gradient_only_decays_accum():
     params, accum = np.array([1.0, -1.0]), np.array([2.0, 8.0])
-    rmsprop_step(params, accum, np.zeros(2), 0.5, RHO, EPS)
+    rmsprop_step(params, accum, np.zeros(2), 0.5)
     assert np.array_equal(params, [1.0, -1.0])
     assert np.allclose(accum, [1.8, 7.2], atol=1e-15)
 
 
 def test_rmsprop_equal_gradients_equal_updates():
     p = np.zeros(2)
-    rmsprop_step(p, np.zeros(2), np.array([3.0, 3.0]), 0.01, RHO, EPS)
+    rmsprop_step(p, np.zeros(2), np.array([3.0, 3.0]), 0.01)
     assert p[0] == p[1]
 
 
 def test_rmsprop_updates_in_place():
     params, accum, grads = np.array([5.0]), np.array([1.0]), np.array([2.0])
-    rmsprop_step(params, accum, grads, 0.1, RHO, EPS)
+    rmsprop_step(params, accum, grads, 0.1)
     assert accum[0] == RHO * 1.0 + (1.0 - RHO) * 4.0
     assert params[0] == 5.0 - 0.1 * 2.0 / (np.sqrt(accum[0]) + EPS)
     assert grads[0] == 2.0
@@ -162,7 +162,7 @@ def test_rmsprop_validation():
     for bad in (np.nan, np.inf):
         params, accum = np.zeros(2), np.ones(2)
         with pytest.raises(FitError, match="non-finite gradient"):
-            rmsprop_step(params, accum, np.array([1.0, bad]), 0.1, RHO, EPS)
+            rmsprop_step(params, accum, np.array([1.0, bad]), 0.1)
         assert np.array_equal(params, np.zeros(2)) and np.array_equal(accum, np.ones(2))
 
 
@@ -180,7 +180,7 @@ def test_rmsprop_descends_convex_quadratic():
     prev = loss(x)
     for _ in range(1000):
         g = a @ x - b
-        rmsprop_step(x, accum, g, 1e-3, RHO, EPS)
+        rmsprop_step(x, accum, g, 1e-3)
         cur = loss(x)
         assert cur <= prev + 1e-12
         prev = cur

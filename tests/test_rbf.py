@@ -102,9 +102,9 @@ def test_centers_deterministic():
 def test_centers_bad_m():
     pts = np.zeros((5, 2))
     with pytest.raises(ConfigError):
-        init_centers(pts, m=0)
+        init_centers(pts, m=0, seed=0)
     with pytest.raises(ConfigError):
-        init_centers(pts, m=6)
+        init_centers(pts, m=6, seed=0)
 
 
 def mask_loop_init_centers(inputs, m, seed):
@@ -596,6 +596,8 @@ def test_config_validation():
         RbfTrainConfig(units=4, epochs=0)
     with pytest.raises(ConfigError):
         RbfTrainConfig(units=4, max_units=0)
+    with pytest.raises(ConfigError, match="seed"):
+        RbfTrainConfig(units=4, seed=-1)
     # growth settings come as a pair
     with pytest.raises(ConfigError, match="both target_mse and max_units"):
         RbfTrainConfig(units=4, target_mse=0.1)
