@@ -13,7 +13,6 @@ fit or training error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -122,17 +121,10 @@ _SPECS = {
 _ALIASES = {"ridge_lambda": "lambda"}  # alias -> key, as a flag and a config-file key
 
 
-def _flags(key: str) -> list[str]:
-    """Every command-line spelling of an option."""
-    names = [key] + [alias for alias, k in _ALIASES.items() if k == key]
-    return ["--" + name.replace("_", "-") for name in names]
-
-
-# every flag that takes a value, spelled as on the command line
-_VALUE_FLAGS = {"--config"} | {
-    flag for spec in _SPECS.values() for key, (conv, _, _) in spec.items()
-    if conv is not _parse_has_header for flag in _flags(key)
-}
+def _key(name: str) -> str:
+    """The option key of a flag or config-file name: '-' becomes '_', aliases resolve."""
+    name = name.replace("-", "_")
+    return _ALIASES.get(name, name)
 
 
 def _read_config_file(path: str) -> dict:
@@ -149,19 +141,65 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        values[_ALIASES.get(key, key)] = value.strip()
+        values[_key(key.strip())] = value.strip()
     return values
 
 
-def _effective(args: argparse.Namespace, command: str) -> dict:
+def _parse_argv(argv: list[str]) -> tuple[str, dict]:
+    """Read 'COMMAND (--name value | --name=value)...' into the command and {key: text}.
+
+    A flag is its option's config-file key with '--' in front.  A value
+    is the next token unless that token starts with '--', so -inf and
+    -1e3 are values; --no-header alone means true.
+    """
+    if not argv or argv[0] not in _SPECS:
+        raise ConfigError(f"expected a command, one of {', '.join(_SPECS)} (see lagcast --help)")
+    command, tokens = argv[0], list(argv[1:])
+    spec = _SPECS[command]
+    texts = {}
+    while tokens:
+        token = tokens.pop(0)
+        if not token.startswith("--"):
+            raise ConfigError(f"unexpected argument {token!r} (see lagcast {command} --help)")
+        name, has_value, text = token.partition("=")
+        key = _key(name[2:])
+        if key not in spec and key != "config":
+            raise ConfigError(f"unknown option {name} for '{command}' (see lagcast {command} --help)")
+        if not has_value:
+            if tokens and not tokens[0].startswith("--"):
+                text = tokens.pop(0)
+            elif key == "no_header":
+                text = "true"
+            else:
+                raise ConfigError(f"option {name} expects a value")
+        texts[key] = text
+    return command, texts
+
+
+def _usage(commands) -> str:
+    """The --help text: each command's flags, from _SPECS."""
+    lines = ["usage: lagcast COMMAND [--config FILE] [--OPTION VALUE | --OPTION=VALUE]...",
+             "Polynomial and RBF-network one-step forecasting experiments.",
+             "--config reads 'option = value' lines; flags given on the command line win."]
+    for command in commands:
+        lines.append(f"\n{command}:")
+        for key, (_, default, _) in _SPECS[command].items():
+            names = [key] + [alias for alias, k in _ALIASES.items() if k == key]
+            flags = " | ".join("--" + name.replace("_", "-") for name in names)
+            note = ("required" if default is _REQUIRED
+                    else "" if default is None else f"default {default}")
+            lines.append(f"  {flags:<28}{note}".rstrip())
+    return "\n".join(lines)
+
+
+def _effective(command: str, texts: dict) -> dict:
     """Layer CLI defaults, config-file values and flags; check each one.
 
     Returns {group: {param: value}}, with every group of the command's
     targets present, so each handler builds its config objects directly.
     """
     spec = _SPECS[command]
-    file_values = _read_config_file(args.config) if args.config else {}
+    file_values = _read_config_file(texts["config"]) if "config" in texts else {}
     unknown = set(file_values) - set(spec)
     if unknown:
         raise ConfigError(
@@ -171,54 +209,14 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
     for key, (conv, default, target) in spec.items():
         group, param = target.split(".")
         values = groups.setdefault(group, {})
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[param] = _wrap(conv, key)(flag_value)
-        elif key in file_values:
-            values[param] = _wrap(conv, key)(file_values[key])
+        text = texts.get(key, file_values.get(key))
+        if text is not None:
+            values[param] = _wrap(conv, key)(text)
         elif default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         elif default is not None:
             values[param] = default
     return groups
-
-
-def _join_values(argv: list[str]) -> list[str]:
-    """Rewrite each '--flag value' as '--flag=value'.
-
-    argparse reads a value that starts with '-' but is not a plain
-    number, such as -inf or -1e3, as an unknown option; joined to its
-    flag it is a value, checked like any other.
-    """
-    out = []
-    for token in argv:
-        if out and out[-1] in _VALUE_FLAGS and not token.startswith("--"):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # main reports it in one line, exit 2
-        raise ConfigError(f"{message} (see {self.prog} --help)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lagcast",
-        description="Polynomial and RBF-network one-step forecasting experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, spec in _SPECS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="flat key = value file")
-        for key, (conv, _, _) in spec.items():
-            if conv is _parse_has_header:
-                p.add_argument(*_flags(key), dest=key, nargs="?", const="true", default=None)
-            else:
-                p.add_argument(*_flags(key), dest=key, default=None)
-    return parser
 
 
 def _write(path: str, text: str):
@@ -305,11 +303,13 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if {"-h", "--help"} & set(argv):
+        print(_usage(argv[:1] if argv[0] in _SPECS else _SPECS))
+        return 0
     try:
-        args = build_parser().parse_args(
-            _join_values(sys.argv[1:] if argv is None else argv))
-        values = _effective(args, args.command)
-        return _HANDLERS[args.command](values)
+        command, texts = _parse_argv(argv)
+        return _HANDLERS[command](_effective(command, texts))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

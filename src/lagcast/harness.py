@@ -344,10 +344,8 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
             t_res = paired_t_test(err_pc, err_rbf)
         except DegenerateSampleError:
             degenerate = True
-        try:
-            w_res = wilcoxon_signed_rank(err_pc, err_rbf)
-        except DegenerateSampleError:
-            degenerate = True
+        # a nonzero spread leaves a nonzero difference, so this cannot raise
+        w_res = wilcoxon_signed_rank(err_pc, err_rbf)
 
     primary = t_res if t_res is not None else w_res
     if primary is None:

@@ -184,11 +184,17 @@ def refuse_work(*args, **kwargs):
     ["bogus"],
     [],
     ["sweep", "--data"],
+    ["sweep", "--deg", "1..2"],
+    ["sweep", "--col", "v"],
+    ["compare", "--seed", "3"],
+    ["sweep", "stray"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
         "sweep-huge-degree-range", "compare-huge-seed-range",
         "compare-target-mse-only", "compare-max-units-only", "compare-negative-seed",
         "compare-negative-second-seed", "unknown-option",
-        "unknown-command", "no-command", "option-missing-value"])
+        "unknown-command", "no-command", "option-missing-value",
+        "abbreviated-degrees", "abbreviated-column", "abbreviated-seeds",
+        "stray-token"])
 def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
     for name in ("run_comparison", "run_comparison_suite", "run_degree_sweep"):
         monkeypatch.setattr(cli, name, refuse_work)
@@ -240,6 +246,24 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
 def test_unknown_flag_is_argparse_exit_2():
     r = run_cli("sweep", "--frobnicate", "1")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("values, flags, stage", [
+    ([1e120 * (1 + 0.01 * np.sin(i)) for i in range(120)], ["--degrees", "3"], "PC fit"),
+    (None, ["--rbf-lr", "1e200"], "RBFNN training"),
+], ids=["pc-design-overflow", "rbf-loss-non-finite"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_failure_is_exit_4(tmp_path, capsys, values, flags, stage):
+    data = (seasonal_csv(tmp_path) if values is None
+            else write_series(tmp_path / "huge.csv", values))
+    out = tmp_path / "report.json"
+    code = main(["compare", "--data", data, "--column", "v", "--rbf-epochs", "2",
+                 *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"fit error: comparison aborted at stage '{stage}': ")
+    assert not out.exists()
 
 
 def test_missing_data_file_is_exit_3(capsys):
@@ -365,7 +389,72 @@ def test_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_import_leaves_argparse_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lagcast.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compare", "--help"], ["sweep", "-h"]])
+def test_help_names_every_flag(capsys, argv):
+    assert main(argv) == 0
+    words = set(capsys.readouterr().out.split())
+    commands = argv[:1] if argv[0] in cli._SPECS else list(cli._SPECS)
+    names = [*cli._ALIASES, "config"]
+    names += [key for command in commands for key in cli._SPECS[command]]
+    assert {"--" + name.replace("_", "-") for name in names} <= words
+
+
 # ---------------------------------------------------------------- config file
+
+# a valid text for every option key of every command
+SAMPLE_TEXT = {
+    "kind": "walk", "n": "50", "seed": "3", "out": "out.txt", "period": "6",
+    "amplitude": "2", "trend": "0.1", "noise_sd": "0.2", "drift": "0.3",
+    "coeffs": "0.5,0.2", "data": "series.csv", "column": "v", "no_header": "false",
+    "window": "4", "degrees": "1..3", "lambda": "0.1", "train_fraction": "0.7",
+    "format": "csv", "alpha": "0.01", "rbf_units": "5", "rbf_lr": "0.01",
+    "rbf_epochs": "3", "rbf_batch": "8", "rbf_target_mse": "0.5",
+    "rbf_max_units": "9", "seeds": "0,1", "model": "model.json",
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, spec in cli._SPECS.items()
+    for name in [*spec, *(alias for alias, key in cli._ALIASES.items() if key in spec)]
+])
+def test_flag_forms_and_config_key_agree(tmp_path, command, name):
+    key = cli._key(name)
+    text = SAMPLE_TEXT[key]
+    required = [f"--{k.replace('_', '-')}={SAMPLE_TEXT[k]}"
+                for k, (_, default, _) in cli._SPECS[command].items()
+                if default is cli._REQUIRED and k != key]
+    flag = "--" + name.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    got = [cli._effective(*cli._parse_argv([command, *required, *form]))
+           for form in ([flag, text], [f"{flag}={text}"], ["--config", str(cfg)])]
+    assert got[0] == got[1] == got[2]
+    conv, _, target = cli._SPECS[command][key]
+    group, param = target.split(".")
+    assert got[0][group][param] == conv(text)
+
+
+@pytest.mark.parametrize("form", [
+    ["--no-header"], ["--no-header", "true"], ["--no-header=true"], ["--config", "run.cfg"],
+], ids=["bare", "space", "joined", "config-file"])
+def test_no_header_forms_agree(tmp_path, monkeypatch, form):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("no_header = true\n")
+    # a bare --no-header followed by another flag takes no value from it
+    command, texts = cli._parse_argv(["sweep", *form, "--data", "series.csv"])
+    assert cli._effective(command, texts)["csv"] == {"path": "series.csv",
+                                                     "has_header": False}
+
 
 def test_config_file_supplies_flags(tmp_path, capsys):
     data = seasonal_csv(tmp_path)

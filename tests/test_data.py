@@ -136,6 +136,19 @@ def test_make_windows_bad_d():
         make_windows(series([1, 2, 3, 4]), d=0)
 
 
+@pytest.mark.parametrize("window_d, inputs, targets, message", [
+    (0, np.zeros((2, 0)), [0.0, 0.0], "window_d must be >= 1"),
+    (2, [[1.0, 2.0, 3.0]], [4.0], "inputs must have shape"),
+    (2, [[1.0, 2.0], [2.0, 3.0]], [3.0], "targets must be 1-D"),
+    (2, np.zeros((0, 2)), np.zeros(0), "at least one row"),
+    (2, [[1.0, 2.0], [2.0, 3.0]], [9.0, 4.0], "target i must reappear"),
+], ids=["window-below-1", "input-shape", "target-shape", "no-rows", "target-not-next-lag"])
+def test_windowed_dataset_construction_errors(window_d, inputs, targets, message):
+    with pytest.raises(DataError, match=message):
+        WindowedDataset(window_d=window_d, inputs=np.asarray(inputs),
+                        targets=np.asarray(targets))
+
+
 def test_windowed_dataset_validates_overlap():
     with pytest.raises(DataError):
         WindowedDataset(
