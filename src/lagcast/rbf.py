@@ -33,6 +33,9 @@ _MIN_WIDTH = 1e-6
 _GROW_START_UNITS = 4
 _RMSPROP_RHO = 0.9  # the usual RMSprop decay and zero-division guard
 _RMSPROP_EPS = 1e-8
+# rho, 1 - rho and eps as 0-d arrays: numpy converts a Python float
+# operand on every ufunc call, a fair share of a step on short vectors
+_STEP_CONSTANTS = tuple(np.array(v) for v in (_RMSPROP_RHO, 1.0 - _RMSPROP_RHO, _RMSPROP_EPS))
 
 
 @dataclass(frozen=True)
@@ -323,14 +326,21 @@ def rmsprop_step(params: np.ndarray, accum: np.ndarray, grads: np.ndarray,
     params <- params - lr * g / (sqrt(accum) + eps)
 
     rho and eps are the module's _RMSPROP_RHO and _RMSPROP_EPS; train
-    passes a learning rate checked once by RbfTrainConfig, so only the
-    gradient, which changes every step, is checked here.
+    passes a learning rate checked once by RbfTrainConfig, as a 0-d
+    array for the reason _STEP_CONSTANTS gives.  The gradient is not
+    checked here: a NaN or infinite entry makes its parameter NaN
+    (lr * inf / inf is NaN), and train's epoch-loss check reports that.
     """
-    if not np.isfinite(grads).all():
-        raise FitError("rmsprop_step: non-finite gradient (learning rate likely too high)")
-    accum *= _RMSPROP_RHO
-    accum += (1.0 - _RMSPROP_RHO) * grads**2
-    params -= learning_rate * grads / (np.sqrt(accum) + _RMSPROP_EPS)
+    rho, gain, eps = _STEP_CONSTANTS
+    sq = np.square(grads)
+    sq *= gain
+    accum *= rho
+    accum += sq
+    den = np.sqrt(accum)
+    den += eps
+    np.multiply(grads, learning_rate, out=sq)
+    sq /= den
+    params -= sq
 
 
 def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
@@ -339,13 +349,20 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
 
     Batches are drawn by reshuffling the rows each epoch with the
     config seed, so a (data, config) pair always trains the same way.
-    The parameters (M weights, then the bias), the RMSprop accumulator
-    and the gradient are float64 arrays updated in place; the order of
-    every operation is kept so that results match an out-of-place
-    reference bit for bit (tests/test_rbf.py).  After each
-    epoch the MSE over the whole dataset is recorded; the returned
-    network carries the parameters of the best epoch seen (earliest on
-    ties), not necessarily the last.
+    The parameters (M weights, then the bias), the RMSprop accumulator,
+    the gradient and each epoch's shuffled rows are float64 arrays
+    allocated once and updated in place; every product and sum is the
+    one an out-of-place reference computes, so results match it bit for
+    bit (tests/test_rbf.py).  The weight gradient doubles the error
+    vector rather than the activations: doubling is exact, so each
+    product is the same real number rounded once, unless |err| exceeds
+    half the largest double, where the epoch check fails the run anyway.
+    After each epoch the MSE over the whole dataset is recorded; the
+    returned network carries the parameters of the best epoch seen
+    (earliest on ties), not necessarily the last.  That epoch check is
+    the one owner of non-finite detection: a NaN or infinite gradient
+    leaves a NaN parameter (see rmsprop_step), so the loss of the same
+    epoch is non-finite and training stops with a FitError.
     """
     inputs, targets = _check_training_data(inputs, targets)
     centers = np.asarray(centers, dtype=np.float64)
@@ -355,38 +372,52 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     m = centers.shape[0]
     n = inputs.shape[0]
     bs = config.batch_size
-    lr = config.learning_rate
+    lr = np.array(config.learning_rate)
 
     phi = _activation_matrix(centers, widths, inputs)
     params = np.zeros(m + 1)
     accum = np.zeros(m + 1)
     grad = np.empty(m + 1)
-    w = params[:m]  # a view: it follows the in-place updates
+    # views: they follow the in-place updates
+    w, bias, grad_w = params[:m], params[m, ...], grad[:m]
     rng = np.random.default_rng([config.seed, 0xB7])
 
     best_params = params.copy()
     best_mse = np.inf
     history = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        phi_e, t_e = phi[order], targets[order]
-        for start in range(0, n, bs):
-            phi_b = phi_e[start:start + bs]
-            err = phi_b @ w + params[m] - t_e[start:start + bs]
-            size = err.size
-            grad[:m] = 2.0 * phi_b.T @ err / size
-            grad[m] = 2.0 * (err.sum() / size)
-            rmsprop_step(params, accum, grad, lr)
-        mse = float(np.mean((phi @ w + params[m] - targets) ** 2))
-        if not np.isfinite(mse):
-            raise FitError(
-                f"training loss became non-finite at epoch {epoch + 1}; "
-                "lower the learning rate"
-            )
-        history[epoch] = mse
-        if mse < best_mse:
-            best_mse = mse
-            best_params = params.copy()
+    phi_e, t_e = np.empty_like(phi), np.empty_like(targets)
+    # the batches' views into the epoch buffers, made once
+    batches = [(phi_e[s:s + bs], phi_e[s:s + bs].T, t_e[s:s + bs])
+               for s in range(0, n, bs)]
+    # Overflow and inf - inf only make the epoch loss non-finite, which
+    # the check below reports; numpy's own warnings would just precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            # mode="raise" would gather into a temporary; a permutation
+            # never clips
+            np.take(phi, order, axis=0, out=phi_e, mode="clip")
+            np.take(targets, order, out=t_e, mode="clip")
+            for phi_b, phi_bt, t_b in batches:
+                err = np.dot(phi_b, w)
+                err += bias
+                err -= t_b
+                size = err.size
+                grad[m] = 2.0 * (np.add.reduce(err) / size)
+                err *= 2.0  # the bits of (2 phi_b.T) @ err: see the docstring
+                np.dot(phi_bt, err, out=grad_w)
+                grad_w /= size
+                rmsprop_step(params, accum, grad, lr)
+            mse = float(np.mean((phi @ w + bias - targets) ** 2))
+            if not np.isfinite(mse):
+                raise FitError(
+                    f"training loss became non-finite at epoch {epoch + 1}; "
+                    "lower the learning rate"
+                )
+            history[epoch] = mse
+            if mse < best_mse:
+                best_mse = mse
+                best_params = params.copy()
 
     net = RbfNetwork(centers=centers, widths=widths,
                      out_weights=best_params[:m], bias=float(best_params[m]))

@@ -243,16 +243,17 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
     assert without_times(got) == without_times(json.loads(render_report(report, "json")))
 
 
-def test_unknown_flag_is_argparse_exit_2():
+def test_unknown_flag_process_exits_2_with_one_line():
     r = run_cli("sweep", "--frobnicate", "1")
     assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("config error")
 
 
 @pytest.mark.parametrize("values, flags, stage", [
     ([1e120 * (1 + 0.01 * np.sin(i)) for i in range(120)], ["--degrees", "3"], "PC fit"),
     (None, ["--rbf-lr", "1e200"], "RBFNN training"),
 ], ids=["pc-design-overflow", "rbf-loss-non-finite"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_failure_is_exit_4(tmp_path, capsys, values, flags, stage):
     data = (seasonal_csv(tmp_path) if values is None
             else write_series(tmp_path / "huge.csv", values))
@@ -264,6 +265,16 @@ def test_fit_failure_is_exit_4(tmp_path, capsys, values, flags, stage):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"fit error: comparison aborted at stage '{stage}': ")
     assert not out.exists()
+
+
+def test_diverging_rbf_fit_process_exits_4_with_one_line(tmp_path):
+    # pytest records numpy's RuntimeWarnings in process; only a real
+    # process shows whether they reach stderr ahead of the fit error
+    r = run_cli("compare", "--data", seasonal_csv(tmp_path), "--column", "v",
+                "--rbf-lr", "1e200", "--rbf-epochs", "2")
+    assert r.returncode == 4
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("fit error: comparison aborted at stage 'RBFNN training': ")
 
 
 def test_missing_data_file_is_exit_3(capsys):

@@ -16,7 +16,7 @@ from lagcast.data import TimeSeries, make_windows
 from lagcast.errors import FitError
 from lagcast.harness import windowed_split
 from lagcast.polynomial import _design_matrix, fit, rolling_forecast
-from lagcast.rbf import rmsprop_step
+from lagcast.rbf import RbfTrainConfig, init_centers, rmsprop_step, set_widths, train
 
 
 def random_spd(rng, n, cond=100.0):
@@ -156,14 +156,25 @@ def test_rmsprop_updates_in_place():
     assert grads[0] == 2.0
 
 
-def test_rmsprop_validation():
-    # the knobs are checked by RbfTrainConfig (tests/test_rbf.py); the step
-    # refuses a non-finite gradient before touching its arrays
-    for bad in (np.nan, np.inf):
-        params, accum = np.zeros(2), np.ones(2)
-        with pytest.raises(FitError, match="non-finite gradient"):
-            rmsprop_step(params, accum, np.array([1.0, bad]), 0.1)
-        assert np.array_equal(params, np.zeros(2)) and np.array_equal(accum, np.ones(2))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rmsprop_non_finite_gradient_leaves_its_parameter_non_finite(bad):
+    # the step does not check its gradient: train's epoch-loss check relies
+    # on a NaN or infinite entry poisoning the matching parameter
+    params, accum = np.zeros(2), np.ones(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmsprop_step(params, accum, np.array([1.0, bad]), 0.1)
+    assert np.isfinite(params[0])
+    assert not np.isfinite(params[1])
+
+
+def test_train_diverging_rate_fails_at_the_epoch_check():
+    t = np.arange(120)
+    data = make_windows(TimeSeries(name="s", values=np.sin(2 * np.pi * t / 12) + 0.01 * t), 6)
+    centers = init_centers(data.inputs, 8, seed=0)
+    widths = set_widths(centers, 1.0)
+    cfg = RbfTrainConfig(units=8, batch_size=16, epochs=3, learning_rate=1e200)
+    with pytest.raises(FitError, match="non-finite at epoch 1;"):
+        train(data.inputs, data.targets, centers, widths, cfg)
 
 
 def test_rmsprop_descends_convex_quadratic():

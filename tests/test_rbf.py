@@ -462,14 +462,40 @@ def assert_same_bits(got, want):
     assert np.float64(net.bias).tobytes() == np.float64(ref_net.bias).tobytes()
 
 
-@pytest.mark.parametrize("batch_size", [8, 500], ids=["ragged-batch-8", "batch-over-n"])
-def test_train_bit_identical_to_out_of_place_loop(batch_size):
+def small_training_args(batch_size):
     data = sinusoid_windows(n=111, d=6, noise=0.05, seed=4)  # 105 rows
     centers = init_centers(data.inputs, m=10, seed=4)
     widths = set_widths(centers, rbf._input_scale(data.inputs))
     cfg = RbfTrainConfig(units=10, batch_size=batch_size, epochs=30,
                          learning_rate=0.02, seed=4)
-    args = (data.inputs, data.targets, centers, widths, cfg)
+    return data.inputs, data.targets, centers, widths, cfg
+
+
+def workload_training_args(batch_size):
+    """The rbf-train workload's shape: a trending seasonal series, d = 8 and
+    36 units, where 3.4% of the activations are exactly 0 and 0.4% are
+    subnormal.  1595 rows leave a ragged last batch at 8 and at 109."""
+    ts = synth_seasonal(n=1603, period=12, amplitude=1.0, trend=0.05,
+                        noise_sd=0.1, seed=0)
+    data = make_windows(ts, 8)
+    centers = init_centers(data.inputs, m=36, seed=0)
+    widths = set_widths(centers, rbf._input_scale(data.inputs))
+    phi = rbf._activation_matrix(centers, widths, data.inputs)
+    assert np.mean(phi == 0.0) > 0.03
+    assert np.mean((phi > 0.0) & (phi < np.finfo(np.float64).tiny)) > 0.004
+    cfg = RbfTrainConfig(units=36, batch_size=batch_size, epochs=3,
+                         learning_rate=0.01, seed=0)
+    return data.inputs, data.targets, centers, widths, cfg
+
+
+@pytest.mark.parametrize("make_args, batch_size", [
+    (small_training_args, 8),
+    (small_training_args, 500),
+    (workload_training_args, 8),
+    (workload_training_args, 109),
+], ids=["ragged-batch-8", "batch-over-n", "workload-batch-8", "workload-batch-109"])
+def test_train_bit_identical_to_out_of_place_loop(make_args, batch_size):
+    args = make_args(batch_size)
     assert_same_bits(train(*args), out_of_place_train(*args))
 
 
