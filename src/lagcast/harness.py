@@ -10,11 +10,12 @@ per-point absolute errors of the two models.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -107,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if self.rbf_config.seed != RbfTrainConfig.seed:
+            raise ConfigError(f"rbf_config.seed is {self.rbf_config.seed}; seeds sets the RBF seed")
         for s in self.seeds:  # RbfTrainConfig decides which seeds are valid
             replace(self.rbf_config, seed=s)
         if not (0.0 < self.alpha < 1.0):
@@ -196,21 +199,29 @@ class SweepResult:
         }
 
 
+def _split(config: ExperimentConfig) -> tuple[str, WindowedDataset, WindowedDataset]:
+    """The configured series' name and its train and test windows."""
+    series = resolve_source(config.source)
+    return (series.name, *windowed_split(series, config.window_d, config.train_fraction))
+
+
+def _pc_forecast(train: WindowedDataset, test: WindowedDataset, degree: int,
+                 ridge_lambda: float) -> np.ndarray:
+    """PC's fit on the training windows and its test forecasts: Execution Time's work."""
+    return poly.rolling_forecast(poly.fit(train, degree, ridge_lambda), test)
+
+
 def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
     """Fit and score the polynomial model at every configured degree.
 
     A degree whose fit or scoring fails contributes a marked failure row
     instead of aborting the sweep.
     """
-    series = resolve_source(config.source)
-    train, test = windowed_split(series, config.window_d, config.train_fraction)
+    dataset, train, test = _split(config)
     rows = []
     for degree in config.degrees:
-        def job(k: int = degree) -> np.ndarray:
-            model = poly.fit(train, k, config.ridge_lambda)
-            return poly.rolling_forecast(model, test)
         try:
-            res = timed(job)
+            res = timed(lambda: _pc_forecast(train, test, degree, config.ridge_lambda))
             rows.append(SweepRow(
                 degree=degree, exec_seconds=res.seconds,
                 metrics=metric_report(test.targets, res.value),
@@ -218,7 +229,7 @@ def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
         except (FitError, UndefinedMetricError) as exc:
             rows.append(SweepRow(degree=degree, exec_seconds=None,
                                  metrics=None, error=str(exc)))
-    return SweepResult(dataset=series.name, window_d=config.window_d,
+    return SweepResult(dataset=dataset, window_d=config.window_d,
                        ridge_lambda=config.ridge_lambda, rows=tuple(rows))
 
 
@@ -242,30 +253,14 @@ class ComparisonReport:
     metadata: dict
 
     def to_dict(self) -> dict:
-        def test_dict(t: PairedTestResult | None) -> dict | None:
-            if t is None:
-                return None
-            d = {
-                "method": t.method,
-                "statistic": t.statistic,
-                "p_value": t.p_value,
-                "n_effective": t.n_effective,
-                "effect_direction": t.effect_direction,
-                "alternative": t.alternative,
-            }
-            if t.method.startswith("wilcoxon"):
-                d["w_plus"] = t.w_plus
-                d["w_minus"] = t.w_minus
-            return d
-
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "dataset": self.dataset,
             "models": [{"model": m.model, **_table_fields(m), "detail": m.detail}
                        for m in self.models],
             "tests": {
-                "paired_t": test_dict(self.t_test),
-                "wilcoxon": test_dict(self.wilcoxon),
+                "paired_t": _test_dict(self.t_test),
+                "wilcoxon": _test_dict(self.wilcoxon),
             },
             "verdict": self.verdict,
             "degenerate": self.degenerate,
@@ -274,9 +269,15 @@ class ComparisonReport:
         }
 
 
-def _map_verdict(verdict: str) -> str:
-    return {A_BETTER: "PC_better", B_BETTER: "RBFNN_better",
-            NO_DIFFERENCE: NO_DIFFERENCE}[verdict]
+def _test_dict(t: PairedTestResult | None) -> dict | None:
+    """A test's report fields: all but p_exact, and no w_plus/w_minus on the t-test."""
+    if t is None:
+        return None
+    return {f.name: v for f in fields(t)
+            if f.name != "p_exact" and (v := getattr(t, f.name)) is not None}
+
+
+_VERDICTS = {A_BETTER: "PC_better", B_BETTER: "RBFNN_better", NO_DIFFERENCE: NO_DIFFERENCE}
 
 
 def run_comparison(config: ExperimentConfig, seed: int | None = None) -> ComparisonReport:
@@ -288,37 +289,30 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     Significance tests compare per-point absolute errors; ties that are
     too degenerate to test are reported as such rather than failing.
     """
-    series = resolve_source(config.source)
-    train, test = windowed_split(series, config.window_d, config.train_fraction)
-    rbf_seed = int(config.seeds[0] if seed is None else seed)
+    dataset, train, test = _split(config)
+    rbf_cfg = replace(config.rbf_config, seed=int(config.seeds[0] if seed is None else seed))
+    grow = rbf_cfg.target_mse is not None
     degree = int(min(config.degrees))
 
-    def pc_job() -> np.ndarray:
-        model = poly.fit(train, degree, config.ridge_lambda)
-        return poly.rolling_forecast(model, test)
+    def stage(name: str, job):
+        try:
+            return timed(job)
+        except FitError as exc:
+            raise FitError(f"comparison aborted at stage '{name}': {exc}") from exc
 
-    try:
-        pc_run = timed(pc_job)
-    except FitError as exc:
-        raise FitError(f"comparison aborted at stage 'PC fit': {exc}") from exc
+    pc_run = stage("PC fit", lambda: _pc_forecast(train, test, degree, config.ridge_lambda))
     pc_row = ModelRow(
         model=PC, exec_seconds=pc_run.seconds,
         metrics=metric_report(test.targets, pc_run.value),
         detail={"degree": degree, "ridge_lambda": config.ridge_lambda},
     )
 
-    rbf_cfg = replace(config.rbf_config, seed=rbf_seed)
-    grow = rbf_cfg.target_mse is not None
-
     def rbf_job() -> tuple[rbf.TrainTrace, np.ndarray]:
         fit_net = rbf.grow_until_target if grow else rbf.fit_fixed
         net, trace = fit_net(train.inputs, train.targets, rbf_cfg)
         return trace, rbf.batch_forward(net, test.inputs)
 
-    try:
-        rbf_run = timed(rbf_job)
-    except FitError as exc:
-        raise FitError(f"comparison aborted at stage 'RBFNN training': {exc}") from exc
+    rbf_run = stage("RBFNN training", rbf_job)
     trace, rbf_pred = rbf_run.value
     rbf_row = ModelRow(
         model=RBFNN, exec_seconds=rbf_run.seconds,
@@ -326,38 +320,29 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
         detail={
             "units": trace.final_units, "epochs": trace.epochs_run,
             "learning_rate": rbf_cfg.learning_rate, "batch_size": rbf_cfg.batch_size,
-            "seed": rbf_seed, "mode": "grow" if grow else "fixed",
+            "seed": rbf_cfg.seed, "mode": "grow" if grow else "fixed",
             "stop_reason": trace.stop_reason, "train_mse": trace.best_mse,
         },
     )
 
     err_pc = np.abs(test.targets - pc_run.value)
     err_rbf = np.abs(test.targets - rbf_pred)
-    degenerate = False
     t_res = w_res = None
-    if np.ptp(err_pc - err_rbf) == 0.0:
-        # Zero-spread differences carry no usable ranking or variance
-        # information, so neither test is attempted.
-        degenerate = True
-    else:
-        try:
+    verdict = NO_DIFFERENCE
+    # Zero-spread differences carry no usable ranking or variance
+    # information, so neither test is attempted.
+    if np.ptp(err_pc - err_rbf) > 0.0:
+        with contextlib.suppress(DegenerateSampleError):
             t_res = paired_t_test(err_pc, err_rbf)
-        except DegenerateSampleError:
-            degenerate = True
         # a nonzero spread leaves a nonzero difference, so this cannot raise
         w_res = wilcoxon_signed_rank(err_pc, err_rbf)
-
-    primary = t_res if t_res is not None else w_res
-    if primary is None:
-        verdict = NO_DIFFERENCE
-    else:
-        verdict = _map_verdict(significance_verdict(primary, config.alpha))
+        verdict = _VERDICTS[significance_verdict(t_res or w_res, config.alpha)]
 
     metadata = {
         "window_d": config.window_d,
         "degree": degree,
         "train_fraction": config.train_fraction,
-        "seed": rbf_seed,
+        "seed": rbf_cfg.seed,
         "seeds": list(config.seeds),
         "alpha": config.alpha,
         "config_hash": config_hash(config),
@@ -367,9 +352,9 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
         "n_test_windows": len(test),
     }
     return ComparisonReport(
-        dataset=series.name, models=(pc_row, rbf_row),
+        dataset=dataset, models=(pc_row, rbf_row),
         t_test=t_res, wilcoxon=w_res, verdict=verdict,
-        degenerate=degenerate, alpha=config.alpha, metadata=metadata,
+        degenerate=t_res is None, alpha=config.alpha, metadata=metadata,
     )
 
 
@@ -406,10 +391,10 @@ _FIELD_HEADS = tuple(zip(("Execution Time (s)", "MAE", "RMSE", "CV(RMSE) (%)"),
 _MODEL_HEADS = (("Model", "model"),) + _FIELD_HEADS
 
 
-def _cells(fields: dict) -> list[str]:
-    if fields["mae"] is None:
+def _cells(row: dict) -> list[str]:
+    if row["mae"] is None:
         return ["-"] * len(_TABLE_FIELDS)
-    return [f"{fields['exec_seconds']:.2f}"] + [f"{fields[k]:.4f}" for k in _TABLE_FIELDS[1:]]
+    return [f"{row['exec_seconds']:.3g}"] + [f"{row[k]:.4f}" for k in _TABLE_FIELDS[1:]]
 
 
 def _table(fmt: str, heads, rows, title: str = "", notes=()) -> str:

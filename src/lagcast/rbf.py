@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -365,16 +364,17 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     epoch is non-finite and training stops with a FitError.
     """
     inputs, targets = _check_training_data(inputs, targets)
-    centers = np.asarray(centers, dtype=np.float64)
-    widths = np.asarray(widths, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != inputs.shape[1]:
+    # RbfNetwork checks the hidden layer before any epoch runs
+    net = RbfNetwork(centers=centers, widths=widths,
+                     out_weights=np.zeros_like(widths, dtype=np.float64), bias=0.0)
+    if net.window_d != inputs.shape[1]:
         raise DataError("centers must be (M, d) with d matching the inputs")
-    m = centers.shape[0]
+    m = net.n_units
     n = inputs.shape[0]
     bs = config.batch_size
     lr = np.array(config.learning_rate)
 
-    phi = _activation_matrix(centers, widths, inputs)
+    phi = _activation_matrix(net.centers, net.widths, inputs)
     params = np.zeros(m + 1)
     accum = np.zeros(m + 1)
     grad = np.empty(m + 1)
@@ -419,8 +419,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
                 best_mse = mse
                 best_params = params.copy()
 
-    net = RbfNetwork(centers=centers, widths=widths,
-                     out_weights=best_params[:m], bias=float(best_params[m]))
+    net = replace(net, out_weights=best_params[:m], bias=float(best_params[m]))
     return net, TrainTrace(epoch_mse=history, final_units=m, stop_reason="epochs")
 
 

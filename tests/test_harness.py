@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from lagcast.data import TimeSeries, make_windows
-from lagcast.errors import ConfigError, DataError
+from lagcast import harness
+from lagcast.errors import ConfigError, DataError, DegenerateSampleError
 from lagcast.harness import (
     COMPARISON_REPORT_SCHEMA,
     COMPARISON_SUITE_SCHEMA,
@@ -125,6 +126,8 @@ def test_config_validation():
         ExperimentConfig(source=src, seeds=())
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(source=src, seeds=(0, -1))
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig(source=src, rbf_config=RbfTrainConfig(seed=5))
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, alpha=1.5)
     with pytest.raises(ConfigError):
@@ -212,6 +215,21 @@ def test_comparison_constant_series_degenerates(tmp_path):
     jsonschema.validate(report.to_dict(), COMPARISON_REPORT_SCHEMA)
 
 
+def test_comparison_degenerate_t_test_takes_the_wilcoxon_verdict(monkeypatch):
+    def degenerate(a, b):
+        raise DegenerateSampleError("all paired differences are identical")
+
+    monkeypatch.setattr(harness, "paired_t_test", degenerate)
+    report = run_comparison(seasonal_config(alpha=0.2))
+    assert report.degenerate
+    assert report.t_test is None and report.wilcoxon is not None
+    w = report.wilcoxon
+    assert w.p_value < 0.2 and w.effect_direction == -1
+    assert report.verdict == "PC_better"
+    assert "Paired t-test: not available" in render_report(report, "markdown")
+    jsonschema.validate(report.to_dict(), COMPARISON_REPORT_SCHEMA)
+
+
 def test_comparison_deterministic_up_to_timing():
     def strip(doc):
         for m in doc["models"]:
@@ -283,7 +301,7 @@ _GOLD_COMPARISON_MD = """### gold
 
 Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
 --- | --- | --- | --- | ---
-PC | 0.15 | 23.4758 | 30.5953 | 1.6603
+PC | 0.153 | 23.4758 | 30.5953 | 1.6603
 RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000
 
 Paired t-test: not available (degenerate sample)
@@ -295,14 +313,14 @@ GOLDEN_TEXT = {
 
 Degree | Execution Time (s) | MAE | RMSE | CV(RMSE) (%) | Status
 --- | --- | --- | --- | --- | ---
-1 | 0.01 | 0.1235 | 0.2346 | 3.4568 | ok
+1 | 0.0123 | 0.1235 | 0.2346 | 3.4568 | ok
 2 | - | - | - | - | failed: design for degree 2 is singular, refit""",
     ("sweep", "csv"): """degree,exec_seconds,mae,rmse,cv_rmse_pct,error
-1,0.01,0.1235,0.2346,3.4568,
+1,0.0123,0.1235,0.2346,3.4568,
 2,-,-,-,-,design for degree 2 is singular; refit""",
     ("comparison", "markdown"): _GOLD_COMPARISON_MD,
     ("comparison", "csv"): """model,exec_seconds,mae,rmse,cv_rmse_pct
-PC,0.15,23.4758,30.5953,1.6603
+PC,0.153,23.4758,30.5953,1.6603
 RBFNN,0.31,24.0000,31.0000,1.7000
 verdict,no_significant_difference,,,""",
     ("suite", "markdown"): _GOLD_COMPARISON_MD + """
@@ -311,7 +329,7 @@ verdict,no_significant_difference,,,""",
 
 Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
 --- | --- | --- | --- | ---
-PC | 0.15 | 23.4758 | 30.5953 | 1.6603
+PC | 0.153 | 23.4758 | 30.5953 | 1.6603
 RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000
 
 Paired t-test: statistic=-2.5000, p=0.0123, n=50
@@ -322,12 +340,12 @@ Verdict: PC_better
 
 Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
 --- | --- | --- | --- | ---
-PC | 0.20 | 23.5000 | 30.6000 | 1.6600
+PC | 0.2 | 23.5000 | 30.6000 | 1.6600
 RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000""",
     ("suite", "csv"): """seed,model,exec_seconds,mae,rmse,cv_rmse_pct,verdict
-0,PC,0.15,23.4758,30.5953,1.6603,no_significant_difference
+0,PC,0.153,23.4758,30.5953,1.6603,no_significant_difference
 0,RBFNN,0.31,24.0000,31.0000,1.7000,no_significant_difference
-1,PC,0.15,23.4758,30.5953,1.6603,PC_better
+1,PC,0.153,23.4758,30.5953,1.6603,PC_better
 1,RBFNN,0.31,24.0000,31.0000,1.7000,PC_better""",
 }
 
@@ -342,14 +360,14 @@ def test_golden_text(kind, fmt):
 def test_markdown_fixture_row():
     text = render_comparison(fixture_report(), "markdown")
     assert "Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)" in text
-    assert "PC | 0.15 | 23.4758 | 30.5953 | 1.6603" in text
+    assert "PC | 0.153 | 23.4758 | 30.5953 | 1.6603" in text
 
 
 def test_csv_columns():
     text = render_comparison(fixture_report(), "csv")
     lines = text.splitlines()
     assert lines[0] == "model,exec_seconds,mae,rmse,cv_rmse_pct"
-    assert lines[1].startswith("PC,0.15,23.4758,")
+    assert lines[1].startswith("PC,0.153,23.4758,")
 
 
 def test_json_round_trip_byte_identical():

@@ -424,6 +424,24 @@ def test_train_diverging_rate_is_a_fit_error():
     assert np.all(np.isfinite(net.out_weights))
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("centers, widths", [
+    (np.zeros((2, 2)), np.zeros(2)),
+    (np.array([[0.0, 0.0], [np.nan, 1.0]]), np.ones(2)),
+    (np.zeros((2, 2)), np.array([1.0, -1.0])),
+    (np.zeros((2, 2)), np.ones(3)),
+], ids=["zero-widths", "nan-center", "negative-width", "wrong-length-widths"])
+def test_train_checks_the_hidden_layer_before_any_step(monkeypatch, centers, widths):
+    def no_step(*args):
+        raise AssertionError("an RMSprop step ran on a bad hidden layer")
+
+    monkeypatch.setattr(rbf, "rmsprop_step", no_step)
+    rng = np.random.default_rng(9)
+    cfg = RbfTrainConfig(units=2, epochs=5, learning_rate=0.01)
+    with pytest.raises(DataError):
+        train(rng.standard_normal((20, 2)), rng.standard_normal(20), centers, widths, cfg)
+
 def out_of_place_train(inputs, targets, centers, widths, config):
     """train() as a copy-per-step loop: concatenated gradient, then
     out-of-place accumulator and parameter updates.  The reference that
