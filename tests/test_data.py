@@ -1,5 +1,6 @@
 """Ingestion, windowing, splitting and the synthetic generators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -287,10 +288,39 @@ def test_ar_warns_on_unstable_coeffs():
 
 
 def test_generator_noise_is_platform_pinned():
-    # First noisy draws are frozen so a platform or library change that
-    # silently altered the stream would be caught here.
+    # Same seed, same draws; test_generator_bytes_are_pinned freezes them.
     ts = synth_random_walk(n=3, drift=0.0, noise_sd=1.0, seed=0)
     again = synth_random_walk(n=3, drift=0.0, noise_sd=1.0, seed=0)
     assert ts.values.tolist() == again.values.tolist()
     assert ts.values[0] == 0.0
     assert ts.values[1] != ts.values[2]
+
+
+_TOP_SEED = 2**64 - 1
+
+
+@pytest.mark.parametrize("make, kwargs, digest", [
+    (synth_seasonal, dict(n=25, period=6, amplitude=1.5, trend=0.05, noise_sd=0.3, seed=0),
+     "ecc26089be03711224e7df00cda4286bc2b82f692cdab10b1f9881789afc1891"),
+    (synth_seasonal, dict(n=24, period=6, amplitude=1.5, trend=0.05, noise_sd=0.3,
+                          seed=_TOP_SEED),
+     "4735fd062a8c6d52764400c074880b1f1a025410bb669cafa3c44fa79a726b7a"),
+    # zero noise after a negative first draw: value 0 is +0.0, not -0.0
+    (synth_seasonal, dict(n=24, period=6, amplitude=-1.0, trend=-0.5, noise_sd=0.0, seed=0),
+     "2ecd64e2b879be9093d5d773d7c59de7782bfb3501bf970a9d0e2cce1d6b90ed"),
+    (synth_random_walk, dict(n=31, drift=0.1, noise_sd=1.0, seed=0),
+     "a262509ea7bdd1b3b39b79e45ad030aabb9f30460355bb9c8db5846365ddf72c"),
+    (synth_random_walk, dict(n=30, drift=0.1, noise_sd=1.0, seed=_TOP_SEED),
+     "45cb078f4eaf4a61e25098928c047f7eae3f7feda8bd35d928d04f4be2abeaee"),
+    (synth_ar, dict(coeffs=(0.6, 0.3), n=40, noise_sd=0.5, seed=0),
+     "0bf13a9cf9c3d97df4efeb0eda19bd2795f5428aee16698bdc482b6aa04d88e6"),
+    # order 3: one Box-Muller pair spans the last start value and the first step
+    (synth_ar, dict(coeffs=(0.5, 0.2, 0.1), n=41, noise_sd=0.5, seed=_TOP_SEED),
+     "ac38b71014341462405ed12635d7d0f5035578aeae4df56329ae29d263dfba1b"),
+], ids=["seasonal-odd", "seasonal-even-top-seed", "seasonal-signed-zero", "walk-odd-n",
+        "walk-even-n-top-seed", "ar2", "ar3-top-seed"])
+def test_generator_bytes_are_pinned(make, kwargs, digest):
+    # A change to the stream, the Box-Muller order or the per-draw
+    # arithmetic (signed zeros included) changes these SHA-256 digests.
+    values = make(**kwargs).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
