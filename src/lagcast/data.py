@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import GaussianStream
 from .errors import ConfigError, DataError
 
 
@@ -149,6 +148,35 @@ def make_windows(series: TimeSeries, d: int) -> WindowedDataset:
     return WindowedDataset(window_d=d, inputs=v[idx], targets=v[d:])
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _gaussians(seed: int, n: int) -> list[float]:
+    """n standard normal deviates, the same on every platform for a seed.
+
+    numpy's bit generators are stable, but its normal sampler is a
+    rejection method whose internals are not a public contract.  So the
+    stream is two textbook pieces, each a handful of integer and float
+    operations with no data-dependent branching: SplitMix64 words (Steele,
+    Lea and Flood's mixer), whose top 53 bits give a uniform in [0, 1),
+    and Box-Muller over consecutive pairs of uniforms, cosine first.  An
+    odd n drops the last pair's sine.
+    """
+    state = seed & _MASK64
+    uniforms = []
+    for _ in range(2 * ((n + 1) // 2)):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        uniforms.append(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)))
+    draws = []
+    for u1, u2 in zip(uniforms[::2], uniforms[1::2]):
+        # 1 - u1 is in (0, 1], so the log is finite
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        draws += (r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2))
+    return draws[:n]
+
+
 def _check_common(n: int, noise_sd: float):
     if n <= 0:
         raise ConfigError(f"n must be positive, got {n}")
@@ -161,7 +189,7 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
     """Sine of the given period plus linear trend plus gaussian noise.
 
     value_i = amplitude * sin(2*pi*i / period) + trend * i + noise_i.
-    Deterministic per seed on every platform (see _rng module).
+    Deterministic per seed on every platform (see _gaussians).
     """
     _check_common(n, noise_sd)
     if period <= 0:
@@ -171,7 +199,8 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
             f"n={n} covers under four periods of {period}; seasonal structure may be weak",
             stacklevel=2,
         )
-    noise = GaussianStream(seed).gaussians(n, sigma=noise_sd)
+    # 0.0 + keeps zero noise +0.0 after a negative draw (noise_sd * z is -0.0)
+    noise = [0.0 + noise_sd * z for z in _gaussians(seed, n)]
     i = np.arange(n, dtype=np.float64)
     values = amplitude * np.sin(2.0 * np.pi * i / period) + trend * i + np.array(noise)
     return TimeSeries(name=f"seasonal-{seed}", values=values)
@@ -181,7 +210,7 @@ def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
                       *, seed: int) -> TimeSeries:
     """Random walk from 0: v_{i+1} = v_i + drift + gaussian(0, noise_sd)."""
     _check_common(n, noise_sd)
-    steps = GaussianStream(seed).gaussians(n - 1, mu=drift, sigma=noise_sd)
+    steps = [drift + noise_sd * z for z in _gaussians(seed, n - 1)]
     values = np.concatenate([[0.0], np.cumsum(steps)]) if n > 1 else np.zeros(1)
     return TimeSeries(name=f"walk-{seed}", values=values)
 
@@ -210,11 +239,11 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
             f"AR coefficients have spectral radius {radius:.3f} >= 1; series will not be stationary",
             stacklevel=2,
         )
-    stream = GaussianStream(seed)
+    draws = _gaussians(seed, n)
     values = np.empty(n)
-    values[:p] = stream.gaussians(p)
+    values[:p] = [0.0 + z for z in draws[:p]]
     for i in range(p, n):
-        acc = stream.next_gaussian() * noise_sd
+        acc = draws[i] * noise_sd
         for k in range(p):
             acc += coeffs[k] * values[i - 1 - k]
         values[i] = acc

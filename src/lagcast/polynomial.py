@@ -147,10 +147,6 @@ def rolling_forecast(model: PolynomialModel, test: WindowedDataset) -> np.ndarra
     never fed back in, so errors cannot compound.  A single window is
     forecast as a one-row dataset.
     """
-    if test.window_d != model.basis.window_d:
-        raise DataError(
-            f"model expects windows of {model.basis.window_d}, got {test.window_d}"
-        )
     return _design_matrix(model.basis, test.inputs) @ model.weights
 
 

@@ -77,7 +77,8 @@ class RbfTrainConfig:
     """Knobs for output-layer training and (optionally) growth.
 
     target_mse and max_units, the growth settings, come as a pair and only
-    matter to grow_until_target.  Every field is checked once here, so
+    matter to grow_until_target, which starts at min(4, N, max_units)
+    units and ignores `units`.  Every field is checked once here, so
     the training loop does not re-check them per step.
     """
 
@@ -116,6 +117,7 @@ class TrainTrace:
     epoch_mse: np.ndarray
     final_units: int
     stop_reason: str  # "epochs", "target_mse" or "max_units"
+    rounds: int = 1
 
     @property
     def epochs_run(self) -> int:
@@ -123,7 +125,9 @@ class TrainTrace:
 
     @property
     def best_mse(self) -> float:
-        return float(np.min(self.epoch_mse))
+        """The returned network's training MSE: the best epoch of the last of
+        `rounds` equal-length rounds (a grown fit returns the last round's net)."""
+        return float(np.min(self.epoch_mse[-(self.epoch_mse.size // self.rounds):]))
 
 
 def _check_inputs(inputs: np.ndarray) -> np.ndarray:
@@ -447,9 +451,9 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
     checks the best epoch MSE against target_mse.  While above target
     and under max_units, a new center is placed on the training window
     with the largest absolute residual (lowest row index on ties).
-    The trace concatenates every round's epoch history and names the
-    stop condition that fired.  A config without growth settings (which
-    RbfTrainConfig only allows as a pair) is a ConfigError.
+    The trace concatenates every round's epochs, counts the rounds and
+    names the stop condition that fired.  A config without growth
+    settings (RbfTrainConfig only allows them as a pair) is a ConfigError.
     """
     if config.target_mse is None:
         raise ConfigError("grow_until_target requires target_mse and max_units")
@@ -473,8 +477,8 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
         residuals = np.abs(batch_forward(net, inputs) - targets)
         centers = np.vstack([centers, inputs[int(np.argmax(residuals))]])
 
-    return net, TrainTrace(epoch_mse=np.concatenate(history),
-                           final_units=net.n_units, stop_reason=reason)
+    return net, TrainTrace(epoch_mse=np.concatenate(history), final_units=net.n_units,
+                           stop_reason=reason, rounds=len(history))
 
 
 def to_json(net: RbfNetwork) -> str:

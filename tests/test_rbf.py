@@ -606,6 +606,18 @@ def test_grow_adds_units_and_respects_cap():
     assert len(trace.epoch_mse) == trace.epochs_run
 
 
+def test_grow_best_mse_is_the_returned_networks():
+    # an earlier, smaller round's best epoch beats the last round's here
+    data = sinusoid_windows(n=120, d=6, noise=0.05, seed=0)
+    cfg = RbfTrainConfig(units=4, batch_size=16, epochs=10, learning_rate=0.02, seed=0,
+                         target_mse=1e-9, max_units=8)
+    net, trace = grow_until_target(data.inputs, data.targets, cfg)
+    assert trace.rounds > 1 and trace.epochs_run == 10 * trace.rounds
+    mse = float(np.mean((batch_forward(net, data.inputs) - data.targets) ** 2))
+    assert trace.best_mse == mse
+    assert trace.best_mse > float(np.min(trace.epoch_mse))
+
+
 def test_grow_requires_target_and_cap():
     data = sinusoid_windows(n=80, d=4)
     with pytest.raises(ConfigError):
