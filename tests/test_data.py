@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lagcast import polynomial as poly
+from lagcast import rbf
 from lagcast.data import (
     TimeSeries,
     WindowedDataset,
@@ -324,3 +326,37 @@ def test_generator_bytes_are_pinned(make, kwargs, digest):
     # arithmetic (signed zeros included) changes these SHA-256 digests.
     values = make(**kwargs).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+# ------------------------------------------------------------ model documents
+
+def _pc_model(d, k, ridge_lambda):
+    basis = poly.enumerate_monomials(d, k)
+    # weights from 3e-7 to 5e50 in correctly rounded operations only, so
+    # every platform writes the same full-precision reprs and exponents
+    weights = [(-1) ** i / (i + 3) * float(f"1e{3 * i - 6}") for i in range(basis.count)]
+    return poly.PolynomialModel(basis=basis, weights=np.array(weights),
+                                ridge_lambda=ridge_lambda)
+
+
+_RBF_NET = rbf.RbfNetwork(
+    centers=np.array([[0.1 * i - j / 7 for j in range(2)] for i in range(3)]),
+    widths=np.array([(i + 1) / 3 for i in range(3)]),
+    out_weights=np.array([-1.5, 1 / 7, 1e-9]), bias=-0.0)
+
+
+@pytest.mark.parametrize("write, digest", [
+    (lambda: poly.to_json(_pc_model(2, 1, 0.0)),
+     "569235c0c74fe6e3552229877268569549f4dbd622cf0caca5dbb13c82469273"),
+    (lambda: poly.to_json(_pc_model(2, 2, 0.125)),
+     "cf7bcd5e9d600d2273d4a08284ff890bc9c36cd2e022f44d3de9a194c0b6e26f"),
+    (lambda: poly.to_json(_pc_model(3, 3, 0.0)),
+     "88654a89d707ee03597eaf3fe4de9b5b393690ac1b91628c2b633a49470c5b7e"),
+    (lambda: rbf.to_json(_RBF_NET),
+     "cda9e2ce1726198703f288095cffc6c28158615c0105bf51211a7b269b275400"),
+], ids=["pc-k1", "pc-k2-ridge", "pc-k3", "rbf"])
+def test_model_document_bytes_are_pinned(write, digest):
+    # Parameters are written out, not fitted: a least-squares or RMSprop
+    # result can differ in its last bits between BLAS kernels, and these
+    # SHA-256 digests pin the document writer, not the machine.
+    assert hashlib.sha256(write().encode()).hexdigest() == digest
