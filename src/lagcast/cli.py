@@ -13,7 +13,6 @@ fit or training error.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import polynomial as poly
 from . import rbf
-from .data import make_windows
+from .data import make_windows, read_model_document
 from .errors import ConfigError, DataError, FitError, UndefinedMetricError
 from .harness import (
     REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, render_report,
@@ -268,27 +267,17 @@ def _cmd_forecast(g: dict) -> int:
         text = Path(v["model"]).read_text()
     except OSError as exc:
         raise DataError(f"cannot read model file {v['model']}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{v['model']} is not valid JSON: {exc}") from exc
-    fields = doc if isinstance(doc, dict) else {}
-    if "exponents" in fields:
-        model = poly.from_json(text)
-        d = model.basis.window_d
-        predict_all = lambda w: poly.rolling_forecast(model, w)
-    elif "centers" in fields:
-        net = rbf.from_json(text)
-        d = net.window_d
-        predict_all = lambda w: rbf.batch_forward(net, w.inputs)
+    kind, fields = read_model_document(text)
+    model = (rbf if kind == "an RBF" else poly).from_document(fields)
+    windows = make_windows(resolve_source(CsvSource(**g["csv"])), int(fields["d"]))
+    if kind == "an RBF":
+        preds = rbf.batch_forward(model, windows.inputs)
     else:
-        raise DataError(f"{v['model']} is neither a polynomial nor an RBF model document")
-    windows = make_windows(resolve_source(CsvSource(**g["csv"])), d)
-    preds = predict_all(windows)
+        preds = poly.rolling_forecast(model, windows)
     if not np.all(np.isfinite(preds)):
         raise DataError(f"{v['model']} gives non-finite forecasts on this series")
     lines = ["index,prediction"]
-    lines += [f"{i + d},{float(p)!r}" for i, p in enumerate(preds)]
+    lines += [f"{i + windows.window_d},{float(p)!r}" for i, p in enumerate(preds)]
     _write(v["out"], "\n".join(lines) + "\n")
     print(f"wrote {len(preds)} predictions to {v['out']}")
     return 0

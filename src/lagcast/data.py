@@ -1,4 +1,4 @@
-"""Series containers, windowing, CSV ingestion and synthetic generators.
+"""Series containers, windowing, CSV ingestion, synthetic generators, model documents.
 
 A forecasting problem here is always framed the same way: take a 1-D
 series, cut it into sliding windows of ``d`` consecutive values, and
@@ -9,6 +9,8 @@ predict the value immediately after each window.  Everything downstream
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import warnings
 from collections.abc import Sequence
@@ -146,6 +148,53 @@ def make_windows(series: TimeSeries, d: int) -> WindowedDataset:
     v = series.values
     idx = np.arange(n - d)[:, None] + np.arange(d)[None, :]
     return WindowedDataset(window_d=d, inputs=v[idx], targets=v[d:])
+
+
+MODEL_SCHEMA_VERSION = 1
+# each kind, named with its article, to its fields {name: (list depth, int or
+# float)}; a kind's first field marks its documents
+MODEL_LAYOUTS = {"a polynomial": {"exponents": (2, int), "d": (0, int), "K": (0, int),
+                                  "lambda": (0, float), "weights": (1, float)},
+                 "an RBF": {"centers": (2, float), "d": (0, int), "widths": (1, float),
+                            "out_weights": (1, float), "bias": (0, float)}}
+
+
+def write_model_document(fields: dict) -> str:
+    """A model document: schema_version, then each field as nested JSON numbers."""
+    return json.dumps({"schema_version": MODEL_SCHEMA_VERSION,
+                       **{key: np.asarray(v).tolist() for key, v in fields.items()}}, indent=2)
+
+
+def read_model_document(text: str, kind: str | None = None) -> tuple[str, dict]:
+    """Parse a model document of the given kind, else of any; return (kind, fields).
+
+    Fields come back as int64 or float64 arrays.  A malformation, such as a
+    boolean, a string, NaN, or 4.5 for an integer, is a DataError.
+    """
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"model document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("model document must be a JSON object")
+    kind = kind or next((k for k in MODEL_LAYOUTS if next(iter(MODEL_LAYOUTS[k])) in doc), None)
+    if kind is None:
+        raise DataError(f"model document is neither {' nor '.join(MODEL_LAYOUTS)} model document")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:
+        raise DataError(f"unsupported model schema_version {version!r}")
+    fields = {}
+    for key, (depth, number) in MODEL_LAYOUTS[kind].items():
+        if key not in doc:
+            raise DataError(f"model document missing field {key!r}")
+        array = np.array(doc[key], dtype=object)
+        if array.ndim == depth and {type(v) for v in array.flat} <= {int, number}:
+            with contextlib.suppress(OverflowError):  # an integer beyond int64 or float
+                fields[key] = array.astype(number)
+        if not np.all(np.isfinite(fields.get(key, np.nan))):
+            what = "integers" if number is int else "finite numbers"
+            raise DataError(f"model field {key!r} must hold {what} at list depth {depth}")
+    return kind, fields
 
 
 _MASK64 = (1 << 64) - 1

@@ -8,7 +8,6 @@ is no iterative training loop.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WindowedDataset
+from .data import WindowedDataset, read_model_document, write_model_document
 from .errors import ConfigError, DataError, FitError
 
-MODEL_SCHEMA_VERSION = 1
 DEFAULT_BASIS_CAP = 100_000
 
 
@@ -152,45 +150,29 @@ def rolling_forecast(model: PolynomialModel, test: WindowedDataset) -> np.ndarra
 
 def to_json(model: PolynomialModel) -> str:
     """Serialize with full float precision; round-trips bit exact."""
-    doc = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "d": model.basis.window_d,
-        "K": model.basis.degree_k,
-        "lambda": model.ridge_lambda,
-        "exponents": [list(e) for e in model.basis.exponents],
-        "weights": [float(w) for w in model.weights],
-    }
-    return json.dumps(doc, indent=2)
+    return write_model_document({
+        "d": model.basis.window_d, "K": model.basis.degree_k, "lambda": model.ridge_lambda,
+        "exponents": model.basis.exponents, "weights": np.asarray(model.weights, dtype=float)})
+
+
+def from_document(fields: dict) -> PolynomialModel:
+    """The model of a polynomial document's fields, as read_model_document returns them."""
+    ridge_lambda = float(fields["lambda"])
+    if ridge_lambda < 0:
+        raise DataError(f"model lambda must be >= 0, got {ridge_lambda}")
+    try:
+        basis = enumerate_monomials(int(fields["d"]), int(fields["K"]))
+    except ConfigError as exc:
+        raise DataError(f"model document has no usable basis: {exc}") from exc
+    if not np.array_equal(fields["exponents"], basis.exponents):
+        raise DataError("model exponents do not match the canonical basis for (d, K)")
+    if fields["weights"].size != basis.count:
+        raise DataError(f"model has {fields['weights'].size} weights for {basis.count} terms")
+    return PolynomialModel(basis=basis, weights=fields["weights"], ridge_lambda=ridge_lambda)
 
 
 def from_json(text: str) -> PolynomialModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("model document must be a JSON object")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    for key in ("d", "K", "lambda", "exponents", "weights"):
-        if key not in doc:
-            raise DataError(f"model document missing field {key!r}")
-    try:
-        basis = enumerate_monomials(int(doc["d"]), int(doc["K"]))
-        stored = tuple(tuple(int(p) for p in e) for e in doc["exponents"])
-        weights = np.array([float(w) for w in doc["weights"]])
-        ridge_lambda = float(doc["lambda"])
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"model document has a malformed field: {exc}") from exc
-    if stored != basis.exponents:
-        raise DataError("model exponents do not match the canonical basis for (d, K)")
-    if weights.size != basis.count:
-        raise DataError(
-            f"model has {weights.size} weights for a basis of {basis.count} terms"
-        )
-    if not np.all(np.isfinite(weights)):
-        raise DataError("model weights must be finite")
-    return PolynomialModel(basis=basis, weights=weights, ridge_lambda=ridge_lambda)
+    return from_document(read_model_document(text, "a polynomial")[1])
 
 
 def save(model: PolynomialModel, path: str | Path):

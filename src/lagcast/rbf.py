@@ -14,16 +14,14 @@ reached.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .data import read_model_document, write_model_document
 from .errors import ConfigError, DataError, FitError
-
-MODEL_SCHEMA_VERSION = 1
 
 _KMEANS_MAX_ITER = 100
 _KMEANS_REL_TOL = 1e-6
@@ -48,7 +46,7 @@ class RbfNetwork:
         centers = np.asarray(self.centers, dtype=np.float64)
         widths = np.asarray(self.widths, dtype=np.float64)
         weights = np.asarray(self.out_weights, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] < 1:
+        if centers.ndim != 2 or min(centers.shape) < 1:
             raise DataError("centers must be a non-empty (M, d) array")
         m = centers.shape[0]
         if widths.shape != (m,) or weights.shape != (m,):
@@ -482,40 +480,20 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
 
 
 def to_json(net: RbfNetwork) -> str:
-    doc = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "d": net.window_d,
-        "centers": [[float(v) for v in row] for row in net.centers],
-        "widths": [float(v) for v in net.widths],
-        "out_weights": [float(v) for v in net.out_weights],
-        "bias": float(net.bias),
-    }
-    return json.dumps(doc, indent=2)
+    return write_model_document({"d": net.window_d, "centers": net.centers, "widths": net.widths,
+                                 "out_weights": net.out_weights, "bias": float(net.bias)})
+
+
+def from_document(fields: dict) -> RbfNetwork:
+    """The network of an RBF document's fields, as read_model_document returns them."""
+    if fields["centers"].shape[1] != fields["d"]:
+        raise DataError("centers shape does not match the declared window size")
+    return RbfNetwork(centers=fields["centers"], widths=fields["widths"],
+                      out_weights=fields["out_weights"], bias=float(fields["bias"]))
 
 
 def from_json(text: str) -> RbfNetwork:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("model document must be a JSON object")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    for key in ("d", "centers", "widths", "out_weights", "bias"):
-        if key not in doc:
-            raise DataError(f"model document missing field {key!r}")
-    try:
-        d = int(doc["d"])
-        centers = np.array(doc["centers"], dtype=np.float64)
-        widths = np.array(doc["widths"], dtype=np.float64)
-        out_weights = np.array(doc["out_weights"], dtype=np.float64)
-        bias = float(doc["bias"])
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"model document has a malformed field: {exc}") from exc
-    if centers.ndim != 2 or centers.shape[1] != d:
-        raise DataError("centers shape does not match the declared window size")
-    return RbfNetwork(centers=centers, widths=widths, out_weights=out_weights, bias=bias)
+    return from_document(read_model_document(text, "an RBF")[1])
 
 
 def save(net: RbfNetwork, path: str | Path):

@@ -333,9 +333,22 @@ def model_doc(kind, tmp_path):
     ("poly", None, None, "exponents"),
     ("poly", None, None, 1),
     ("poly", "weights", 1, 1.7e308),
+    ("poly", "d", None, 4.5),
+    ("poly", "K", None, 1.5),
+    ("poly", "d", None, 0),
+    ("poly", "lambda", None, -5.0),
+    ("poly", "lambda", None, float("nan")),
+    ("poly", "lambda", None, "1e3"),
+    ("poly", "weights", 0, "0.5"),
+    ("poly", "schema_version", None, True),
+    ("rbf", "bias", None, True),
+    ("rbf", "widths", 0, "1"),
 ], ids=["poly-text-weight", "poly-nan-weight", "poly-list-lambda",
         "rbf-nan-out-weight", "rbf-inf-bias", "rbf-text-width",
-        "doc-string", "doc-number", "poly-overflowing-weight"])
+        "doc-string", "doc-number", "poly-overflowing-weight",
+        "poly-fractional-d", "poly-fractional-k", "poly-zero-d", "poly-negative-lambda",
+        "poly-nan-lambda", "poly-quoted-lambda", "poly-quoted-weight",
+        "poly-boolean-version", "rbf-boolean-bias", "rbf-quoted-width"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
                                               index, value):
@@ -348,6 +361,18 @@ def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
         doc[field][index] = value
     model = tmp_path / "m.json"
     model.write_text(json.dumps(doc))
+    out = tmp_path / "p.csv"
+    code = main(["forecast", "--model", str(model), "--data", seasonal_csv(tmp_path),
+                 "--column", "v", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("data error")
+    assert not out.exists()
+
+
+def test_forecast_deeply_nested_model_is_exit_3(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text('{"exponents": ' + "[" * 100_000)
     out = tmp_path / "p.csv"
     code = main(["forecast", "--model", str(model), "--data", seasonal_csv(tmp_path),
                  "--column", "v", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Ingestion, windowing, splitting and the synthetic generators."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from lagcast.data import (
     WindowedDataset,
     load_csv,
     make_windows,
+    read_model_document,
     synth_ar,
     synth_random_walk,
     synth_seasonal,
@@ -354,9 +356,35 @@ _RBF_NET = rbf.RbfNetwork(
      "88654a89d707ee03597eaf3fe4de9b5b393690ac1b91628c2b633a49470c5b7e"),
     (lambda: rbf.to_json(_RBF_NET),
      "cda9e2ce1726198703f288095cffc6c28158615c0105bf51211a7b269b275400"),
-], ids=["pc-k1", "pc-k2-ridge", "pc-k3", "rbf"])
+    # hand-built models with integer parameters: weights and bias are
+    # written as floats, lambda as given
+    (lambda: poly.to_json(poly.PolynomialModel(poly.enumerate_monomials(2, 1),
+                                               np.array([1, -2, 3]), 0)),
+     "d540306bcd0f2d41eef0469c9a20f5387a34066ab256c78fdb8ff2aef77f813a"),
+    (lambda: rbf.to_json(rbf.RbfNetwork(centers=[[1, 2]], widths=[1], out_weights=[3],
+                                        bias=-4)),
+     "f0bcd686916c8b4acceb4d4d57aac12bffe9eb86bd9832bd1659953e55a70670"),
+], ids=["pc-k1", "pc-k2-ridge", "pc-k3", "rbf", "pc-integer-parameters",
+        "rbf-integer-parameters"])
 def test_model_document_bytes_are_pinned(write, digest):
     # Parameters are written out, not fitted: a least-squares or RMSprop
     # result can differ in its last bits between BLAS kernels, and these
     # SHA-256 digests pin the document writer, not the machine.
     assert hashlib.sha256(write().encode()).hexdigest() == digest
+
+
+def test_model_document_kind_and_arrays():
+    text = rbf.to_json(_RBF_NET).replace('"bias": -0.0', '"bias": 0')
+    kind, fields = read_model_document(text)
+    assert kind == "an RBF"
+    assert fields["d"].dtype == np.int64 and fields["d"].shape == ()
+    assert fields["centers"].dtype == np.float64 and fields["centers"].shape == (3, 2)
+    assert fields["bias"].dtype == np.float64 and fields["bias"] == 0.0  # from JSON 0
+
+
+def test_model_document_kind_is_marked_by_its_first_field():
+    text = json.dumps({"schema_version": 1, "weights": [1, 2]})
+    with pytest.raises(DataError, match="neither a polynomial nor an RBF"):
+        read_model_document(text)
+    with pytest.raises(DataError, match="missing field 'exponents'"):
+        read_model_document(text, "a polynomial")

@@ -347,6 +347,10 @@ def test_network_validation():
     with pytest.raises(DataError):
         RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(3),
                    out_weights=np.zeros(2), bias=0.0)
+    # (M, 0) centers would forecast from empty windows
+    with pytest.raises(DataError, match=r"non-empty \(M, d\)"):
+        RbfNetwork(centers=np.zeros((2, 0)), widths=np.ones(2),
+                   out_weights=np.array([1.0, 2.0]), bias=0.5)
 
 
 # ------------------------------------------------------------------ training
