@@ -87,17 +87,13 @@ def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = T
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip() == "":
-            continue
-        rows.append((lineno, [cell.strip() for cell in raw.split(",")]))
+    rows = [(lineno, raw) for lineno, raw in enumerate(lines, start=1) if raw.strip()]
     if not rows:
         raise DataError(f"{path}: file contains no rows")
 
     col_index: int
     if has_header:
-        header_line, header = rows[0]
+        header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1].split(",")]
         rows = rows[1:]
         if isinstance(value_column, str):
             if value_column not in header:
@@ -118,16 +114,19 @@ def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = T
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
 
     values = []
-    for lineno, cells in rows:
+    for lineno, raw in rows:
+        cells = raw.split(",")
         if col_index >= len(cells):
             raise DataError(f"{path}: row {lineno} has no column {col_index}")
+        # float() ignores the same surrounding whitespace that str.strip() removes
         cell = cells[col_index]
         try:
             v = float(cell)
         except ValueError:
-            raise DataError(f"{path}: row {lineno}: cannot parse {cell!r} as a number") from None
+            raise DataError(
+                f"{path}: row {lineno}: cannot parse {cell.strip()!r} as a number") from None
         if not math.isfinite(v):
-            raise DataError(f"{path}: row {lineno}: non-finite value {cell!r}")
+            raise DataError(f"{path}: row {lineno}: non-finite value {cell.strip()!r}")
         values.append(v)
     return TimeSeries(name=path.stem, values=np.array(values))
 

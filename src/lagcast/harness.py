@@ -104,10 +104,14 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not self.degrees or any(k < 1 for k in self.degrees):
             raise ConfigError(f"degrees must be a non-empty list of positive ints, got {self.degrees}")
+        if len(set(self.degrees)) < len(self.degrees):
+            raise ConfigError(f"degrees must not repeat, got {self.degrees}")
         if not 0.0 <= self.ridge_lambda < math.inf:
             raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.rbf_config.seed != RbfTrainConfig.seed:
             raise ConfigError(f"rbf_config.seed is {self.rbf_config.seed}; seeds sets the RBF seed")
         for s in self.seeds:  # RbfTrainConfig decides which seeds are valid

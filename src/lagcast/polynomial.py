@@ -66,8 +66,17 @@ def enumerate_monomials(d: int, k: int) -> MonomialBasis:
     return MonomialBasis(window_d=d, degree_k=k, exponents=tuple(exps))
 
 
-def _design_matrix(basis: MonomialBasis, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate every basis monomial on every input row."""
+def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -> np.ndarray:
+    """Evaluate every basis monomial on every input row.
+
+    Each column is computed on its own, so the layout changes no value.
+    fit asks for column-major ("F") order: LAPACK works on columns, and
+    lstsq copies any other layout into that order first, so each column
+    is written and then read as one contiguous run.  rolling_forecast
+    keeps the row-major default: its matrix-vector product has the
+    bits of a row-major design, and a one-row forecast makes the calls
+    it always made.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if inputs.shape[1] != basis.window_d:
         raise DataError(
@@ -82,7 +91,7 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray) -> np.ndarray:
             [np.ones(n)] + [inputs[:, j] ** p for p in range(1, basis.degree_k + 1)]
             for j in range(basis.window_d)
         ]
-        m = np.empty((n, basis.count))
+        m = np.empty((n, basis.count), order=order)
         for col, exp in enumerate(basis.exponents):
             acc = np.ones(n)
             for j, p in enumerate(exp):
@@ -105,17 +114,19 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
     Minimizes |M w - t|^2 + lambda |w|^2 by an SVD-based least-squares
     solve on the design itself, stacked over sqrt(lambda) I when
     lambda > 0; forming M^T M would square its condition number.  The
-    rank lstsq reports alone decides rank deficiency: constant or
-    exactly collinear windows, or fewer rows than terms, at lambda = 0
-    (or a lambda too small to lift the rank).  The result is then the
-    minimum-norm least-squares solution, with one warning, since every
-    least-squares solution predicts identically on the training span.
-    A basis of more than DEFAULT_BASIS_CAP terms is a ConfigError.
+    design and the stack are built column-major, the order lstsq would
+    otherwise copy them into (see _design_matrix).  The rank lstsq
+    reports alone decides rank deficiency: constant or exactly collinear
+    windows, or fewer rows than terms, at lambda = 0 (or a lambda too
+    small to lift the rank).  The result is then the minimum-norm
+    least-squares solution, with one warning, since every least-squares
+    solution predicts identically on the training span.  A basis of more
+    than DEFAULT_BASIS_CAP terms is a ConfigError.
     """
     if not 0.0 <= ridge_lambda < math.inf:
         raise FitError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
     basis = enumerate_monomials(data.window_d, degree_k)
-    m = _design_matrix(basis, data.inputs)
+    m = _design_matrix(basis, data.inputs, order="F")
     if not np.all(np.isfinite(m)):
         raise FitError(
             f"design matrix for degree {degree_k} overflowed; "
@@ -123,7 +134,8 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
         )
     t = data.targets
     if ridge_lambda > 0:
-        m = np.vstack([m, math.sqrt(ridge_lambda) * np.eye(basis.count)])
+        m = np.concatenate([m, math.sqrt(ridge_lambda) * np.eye(basis.count)],
+                           out=np.empty((len(data) + basis.count, basis.count), order="F"))
         t = np.concatenate([t, np.zeros(basis.count)])
     w, _, rank, _ = np.linalg.lstsq(m, t, rcond=None)
     if rank < basis.count:

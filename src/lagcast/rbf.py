@@ -25,7 +25,9 @@ from .errors import ConfigError, DataError, FitError
 
 _KMEANS_MAX_ITER = 100
 _KMEANS_REL_TOL = 1e-6
-_ROW_BLOCK = 512  # rows per block of _sq_dists' (block, M, d) temporary
+# rows per block: of _sq_dists' (block, M, d) temporary, and of train's
+# gathers of shuffled activations (rounded down to whole batches)
+_ROW_BLOCK = 512
 _MIN_WIDTH = 1e-6
 _GROW_START_UNITS = 4
 _RMSPROP_RHO = 0.9  # the usual RMSprop decay and zero-division guard
@@ -169,8 +171,9 @@ def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
                     centers: np.ndarray) -> np.ndarray:
     """Per row, np.argmin(_sq_dists(inputs, centers), axis=1), bit for bit.
 
-    x_norm2 holds the squared row norms of inputs.  Rows whose GEMM screen
-    cannot prove the argmin are decided by the direct sums.
+    x_norm2 holds the squared row norms of inputs; it sizes the rounding
+    bound only.  Rows whose GEMM screen cannot prove the argmin are
+    decided by the direct sums.
     """
     n, d = inputs.shape
     if centers.shape[0] == 1:
@@ -180,24 +183,31 @@ def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
     # are rechecked.
     with np.errstate(over="ignore", invalid="ignore"):
         c_norm2 = np.sum(centers ** 2, axis=1)
+        # |c|^2 - 2 x.c is |x - c|^2 - |x|^2, and |x|^2 is the same for
+        # every center of a row, so it would cancel in the argmin and the gap
         g = inputs @ (-2.0 * centers).T
-        g += x_norm2[:, None]
         g += c_norm2
         assign = np.argmin(g, axis=1)
         best = g[rows, assign]
         g[rows, assign] = np.inf
-        gap = g.min(axis=1) - best
+        # the runner-up: g.min(axis=1)'s value, NaN included, but argmin
+        # is the faster pass over short rows
+        gap = g[rows, np.argmin(g, axis=1)] - best
         # Why a row that clears the bound is certain (u = eps/2 and
-        # s = |x| + max|c|): the screen's squared norms err by at most
-        # d*u*|x|^2 and d*u*|c|^2, its dot product by 2*d*u*|x||c| (Higham
-        # 2002, sec. 3.1; scaling by -2 is exact), its two additions by
-        # u*s^2 each.  The direct sum of d squares of rounded differences
-        # errs by at most (d+2)*u*s^2.  So both lie within (d+3)*u*s^2 of
-        # the exact |x - c|^2, and where the runner-up exceeds the best by
-        # more than 4*(d+3)*u*s^2 = 2*(d+3)*eps*s^2, every other center's
-        # direct sum exceeds the best one's: the direct argmin picks the
-        # same index.  The factor 8 leaves a 4x margin; `tiny` covers the
-        # absolute error of products that underflow.
+        # s = |x| + max|c|): the screen's squared center norm errs by at
+        # most d*u*|c|^2, its dot product by 2*d*u*|x||c| (Higham 2002,
+        # sec. 3.1; scaling by -2 is exact), together at most d*u*s^2, and
+        # its one addition by u*s^2.  So each screen value lies within
+        # (d+1)*u*s^2 of the exact |x - c|^2 - |x|^2.  The direct sum of d
+        # squares of rounded differences errs by at most (d+2)*u*s^2 from
+        # the exact |x - c|^2.  Comparing two centers, |x|^2 cancels, so
+        # where the runner-up exceeds the best by more than
+        # 2*((d+1) + (d+2))*u*s^2 = (2d+3)*eps*s^2 <= 2*(d+3)*eps*s^2,
+        # every other center's direct sum exceeds the best one's: the
+        # direct argmin picks the same index.  The factor 8 leaves a margin
+        # of 4x over that, which also absorbs the rounding of the gap's own
+        # subtraction; `tiny` covers the absolute error of products that
+        # underflow.
         finfo = np.finfo(np.float64)
         bound = 8 * (d + 3) * finfo.eps * (
             np.sqrt(x_norm2) + math.sqrt(c_norm2.max())) ** 2 + finfo.tiny
@@ -214,7 +224,7 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
     early once the relative center movement drops below 1e-6.  Each
     iteration assigns a row to the center with the smallest directly
     summed squared distance (the lowest index on ties).  A GEMM screen,
-    |x|^2 - 2 x.c + |c|^2, settles every row whose nearest center it can
+    |c|^2 - 2 x.c, settles every row whose nearest center it can
     prove within a dot-product rounding bound; the other rows are
     rechecked with the direct sums, so the assignments, and the centers,
     are those of the direct computation bit for bit.
@@ -288,8 +298,12 @@ def set_widths(centers: np.ndarray, scale: float) -> np.ndarray:
 
 def _activation_matrix(centers: np.ndarray, widths: np.ndarray,
                        inputs: np.ndarray) -> np.ndarray:
-    sq = _sq_dists(inputs, centers)
-    return np.exp(-sq / (2.0 * widths[None, :] ** 2))
+    """np.exp(-_sq_dists(inputs, centers) / (2.0 * widths[None, :] ** 2)),
+    bit for bit, computed in place in the distance array."""
+    phi = _sq_dists(inputs, centers)
+    np.negative(phi, out=phi)
+    phi /= 2.0 * widths ** 2
+    return np.exp(phi, out=phi)
 
 
 def batch_forward(net: RbfNetwork, inputs: np.ndarray) -> np.ndarray:
@@ -351,13 +365,14 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     Batches are drawn by reshuffling the rows each epoch with the
     config seed, so a (data, config) pair always trains the same way.
     The parameters (M weights, then the bias), the RMSprop accumulator,
-    the gradient and each epoch's shuffled rows are float64 arrays
-    allocated once and updated in place; every product and sum is the
-    one an out-of-place reference computes, so results match it bit for
-    bit (tests/test_rbf.py).  The weight gradient doubles the error
-    vector rather than the activations: doubling is exact, so each
-    product is the same real number rounded once, unless |err| exceeds
-    half the largest double, where the epoch check fails the run anyway.
+    the gradient, a block of each epoch's shuffled rows, each step's error
+    and each epoch's residuals are float64 arrays allocated once and
+    updated in place; every product and sum is the one an out-of-place reference
+    computes, so results match it bit for bit (tests/test_rbf.py).  The
+    weight gradient doubles the error vector rather than the activations:
+    doubling is exact, so each product is the same real number rounded
+    once, unless |err| exceeds half the largest double, where the epoch
+    check fails the run anyway.
     After each epoch the MSE over the whole dataset is recorded; the
     returned network carries the parameters of the best epoch seen
     (earliest on ties), not necessarily the last.  That epoch check is
@@ -387,30 +402,46 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     best_params = params.copy()
     best_mse = np.inf
     history = np.empty(config.epochs)
-    phi_e, t_e = np.empty_like(phi), np.empty_like(targets)
-    # the batches' views into the epoch buffers, made once
-    batches = [(phi_e[s:s + bs], phi_e[s:s + bs].T, t_e[s:s + bs])
-               for s in range(0, n, bs)]
+    resid = np.empty_like(targets)
+    # Each epoch's shuffled rows are gathered a block of whole batches at a
+    # time into one reused buffer, small enough to stay in cache while its
+    # batches run; the blocks' and batches' views are made once.
+    per = max(1, _ROW_BLOCK // bs) * bs
+    phi_buf, t_buf = np.empty((min(per, n), m)), np.empty(min(per, n))
+    err_buf = np.empty(min(bs, n))
+    blocks = []
+    for start in range(0, n, per):
+        rows = min(per, n - start)
+        phi_k, t_k = phi_buf[:rows], t_buf[:rows]
+        blocks.append((slice(start, start + rows), phi_k, t_k, [
+            (phi_k[s:s + bs], phi_k[s:s + bs].T, t_k[s:s + bs], err_buf[:min(bs, rows - s)])
+            for s in range(0, rows, bs)]))
     # Overflow and inf - inf only make the epoch loss non-finite, which
     # the check below reports; numpy's own warnings would just precede it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
-            # mode="raise" would gather into a temporary; a permutation
-            # never clips
-            np.take(phi, order, axis=0, out=phi_e, mode="clip")
-            np.take(targets, order, out=t_e, mode="clip")
-            for phi_b, phi_bt, t_b in batches:
-                err = np.dot(phi_b, w)
-                err += bias
-                err -= t_b
-                size = err.size
-                grad[m] = 2.0 * (np.add.reduce(err) / size)
-                err *= 2.0  # the bits of (2 phi_b.T) @ err: see the docstring
-                np.dot(phi_bt, err, out=grad_w)
-                grad_w /= size
-                rmsprop_step(params, accum, grad, lr)
-            mse = float(np.mean((phi @ w + bias - targets) ** 2))
+            for span, phi_k, t_k, batches in blocks:
+                # mode="raise" would gather into a temporary; a permutation
+                # never clips
+                np.take(phi, order[span], axis=0, out=phi_k, mode="clip")
+                np.take(targets, order[span], out=t_k, mode="clip")
+                for phi_b, phi_bt, t_b, err in batches:
+                    np.dot(phi_b, w, out=err)
+                    err += bias
+                    err -= t_b
+                    size = err.size
+                    # the mean, then doubled: doubling a subnormal sum first
+                    # would round differently
+                    grad[m] = 2.0 * (np.add.reduce(err) / size)
+                    err *= 2.0  # the bits of (2 phi_b.T) @ err: see the docstring
+                    np.dot(phi_bt, err, out=grad_w)
+                    grad_w /= size
+                    rmsprop_step(params, accum, grad, lr)
+            np.matmul(phi, w, out=resid)
+            resid += bias
+            resid -= targets
+            mse = float(np.mean(np.square(resid, out=resid)))
             if not np.isfinite(mse):
                 raise FitError(
                     f"training loss became non-finite at epoch {epoch + 1}; "
@@ -419,7 +450,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
             history[epoch] = mse
             if mse < best_mse:
                 best_mse = mse
-                best_params = params.copy()
+                best_params[...] = params
 
     net = replace(net, out_weights=best_params[:m], bias=float(best_params[m]))
     return net, TrainTrace(epoch_mse=history, final_units=m, stop_reason="epochs")

@@ -180,6 +180,8 @@ def refuse_work(*args, **kwargs):
     ["compare", "--rbf-max-units", "40"],
     ["compare", "--seeds", "-1"],
     ["compare", "--seeds", "0,-1"],
+    ["sweep", "--degrees", "2,1,2"],
+    ["compare", "--seeds", "0,3,3"],
     ["sweep", "--frobnicate", "1"],
     ["bogus"],
     [],
@@ -191,7 +193,8 @@ def refuse_work(*args, **kwargs):
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
         "sweep-huge-degree-range", "compare-huge-seed-range",
         "compare-target-mse-only", "compare-max-units-only", "compare-negative-seed",
-        "compare-negative-second-seed", "unknown-option",
+        "compare-negative-second-seed", "sweep-repeated-degree",
+        "compare-repeated-seed", "unknown-option",
         "unknown-command", "no-command", "option-missing-value",
         "abbreviated-degrees", "abbreviated-column", "abbreviated-seeds",
         "stray-token"])

@@ -126,6 +126,11 @@ def test_config_validation():
         ExperimentConfig(source=src, seeds=())
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(source=src, seeds=(0, -1))
+    # a repeat would fit a degree twice, or count a seed twice in the median
+    with pytest.raises(ConfigError, match="degrees must not repeat"):
+        ExperimentConfig(source=src, degrees=(2, 1, 2))
+    with pytest.raises(ConfigError, match="seeds must not repeat"):
+        ExperimentConfig(source=src, seeds=(0, 3, 3))
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig(source=src, rbf_config=RbfTrainConfig(seed=5))
     with pytest.raises(ConfigError):

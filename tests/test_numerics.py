@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_diff_gradient
-from lagcast.data import TimeSeries, make_windows
+from lagcast.data import TimeSeries, WindowedDataset, make_windows, synth_seasonal
 from lagcast.errors import FitError
 from lagcast.harness import windowed_split
 from lagcast.polynomial import _design_matrix, fit, rolling_forecast
@@ -121,6 +121,60 @@ def test_solve_matches_lstsq_on_ill_conditioned_walk():
     w_ref, *_ = np.linalg.lstsq(design_of(model, train), train.targets, rcond=None)
     ref = np.sqrt(np.mean((design_of(model, test) @ w_ref - test.targets) ** 2))
     assert got == pytest.approx(ref, rel=1e-6)
+
+
+def walk_split():
+    values = np.cumsum(np.random.default_rng([3, 7]).standard_normal(2000))
+    return windowed_split(TimeSeries(name="w", values=values), 8, 0.8)
+
+
+def readme_split():
+    series = synth_seasonal(n=240, period=12, amplitude=1.0, trend=0.05, noise_sd=0.1, seed=0)
+    return windowed_split(series, 8, 0.8)
+
+
+@pytest.mark.parametrize("make_split, degrees", [(walk_split, (1, 2, 3)),
+                                                 (readme_split, (4, 5))],
+                         ids=["walk-full-rank", "readme-rank-deficient"])
+@pytest.mark.parametrize("ridge_lambda", [0.0, 0.1])
+def test_fit_and_forecast_byte_equal_to_lstsq_on_row_major_design(make_split, degrees,
+                                                                   ridge_lambda):
+    # fit solves on a column-major design; lstsq copies a row-major one into
+    # that order itself, so the weights keep the bits of the plain call
+    train, test = make_split()
+    for k in degrees:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # degrees 4 and 5 are rank-deficient
+            model = fit(train, degree_k=k, ridge_lambda=ridge_lambda)
+            m = design_of(model, train)
+            assert m.flags.c_contiguous
+            t = train.targets
+            if ridge_lambda:
+                m = np.vstack([m, np.sqrt(ridge_lambda) * np.eye(model.basis.count)])
+                t = np.concatenate([t, np.zeros(model.basis.count)])
+            w, *_ = np.linalg.lstsq(m, t, rcond=None)
+        assert model.weights.tobytes() == w.tobytes()
+        got = rolling_forecast(model, test)
+        assert got.tobytes() == (design_of(model, test) @ w).tobytes()
+
+
+def test_one_row_design_is_row_major_and_forecasts_its_batch_row():
+    # the one-row design is that row of the batch design, bit for bit, and
+    # its forecast is that row's dot product; BLAS may sum a one-row
+    # product in another order than a many-row one, so the batch forecast
+    # agrees to rounding only
+    train, test = readme_split()
+    model = fit(train, degree_k=2)
+    batch_design = design_of(model, test)
+    batch = rolling_forecast(model, test)
+    for i in (0, 17, len(test) - 1):
+        row = WindowedDataset(8, test.inputs[i:i + 1], test.targets[i:i + 1])
+        design = design_of(model, row)
+        assert design.flags.c_contiguous
+        assert design.tobytes() == batch_design[i].tobytes()
+        got = rolling_forecast(model, row)
+        assert got.tobytes() == np.array([batch_design[i] @ model.weights]).tobytes()
+        assert got[0] == pytest.approx(batch[i], rel=1e-12)
 
 
 # ------------------------------------------------------------------- rmsprop
