@@ -19,6 +19,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+# imported here, not on first use inside a timed fit: numpy loads
+# numpy.random lazily, and the import would count as RBFNN execution time
+from numpy.random import default_rng
 
 from .data import read_model_document, write_model_document
 from .errors import ConfigError, DataError, FitError
@@ -233,7 +236,7 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
     n = inputs.shape[0]
     if not (1 <= m <= n):
         raise ConfigError(f"need 1 <= m <= {n} centers, got {m}")
-    rng = np.random.default_rng([seed, 0xC3])
+    rng = default_rng([seed, 0xC3])
 
     centers = np.empty((m, inputs.shape[1]))
     centers[0] = inputs[rng.integers(n)]
@@ -397,7 +400,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     grad = np.empty(m + 1)
     # views: they follow the in-place updates
     w, bias, grad_w = params[:m], params[m, ...], grad[:m]
-    rng = np.random.default_rng([config.seed, 0xB7])
+    rng = default_rng([config.seed, 0xB7])
 
     best_params = params.copy()
     best_mse = np.inf

@@ -428,6 +428,17 @@ def test_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_import_loads_numpy_random():
+    # numpy loads numpy.random on first use; if the first RBF fit did
+    # that, its import would count as RBFNN execution time
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, lagcast; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "True"
+
+
 def test_import_leaves_argparse_unloaded():
     r = subprocess.run(
         [sys.executable, "-c",

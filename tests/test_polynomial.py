@@ -129,6 +129,47 @@ def test_expand_length_mismatch():
         design_row(b, np.array([1.0, 2.0, 3.0]))
 
 
+def reference_design(basis, inputs, order):
+    """The design as a plain loop: each column starts from a column of ones
+    and multiplies in each factor from a full table of powers, p = 0 included."""
+    n = inputs.shape[0]
+    powers = [[np.ones(n)] + [inputs[:, j] ** p for p in range(1, basis.degree_k + 1)]
+              for j in range(basis.window_d)]
+    m = np.empty((n, basis.count), order=order)
+    for col, exp in enumerate(basis.exponents):
+        acc = np.ones(n)
+        for j, p in enumerate(exp):
+            if p:
+                acc = acc * powers[j][p]
+        m[:, col] = acc
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_design_bytes_equal_reference_loop(d, k):
+    rng = np.random.default_rng([d, k])
+    canonical = enumerate_monomials(d, k)
+    permuted = MonomialBasis(window_d=d, degree_k=k, exponents=tuple(
+        canonical.exponents[i] for i in rng.permutation(canonical.count)))
+    # huge, tiny and signed zero entries: products overflow to +-inf from
+    # k = 2 on, and with two lags or more inf * 0 makes nan from k = 3 on
+    extremes = rng.choice([1e200, -1e200, 1e-200, 0.0, -0.0, 3.0], size=(200, d))
+    for inputs in (rng.standard_normal((200, d)), extremes):
+        for rows in (inputs[:1], inputs):
+            for basis in (canonical, permuted):
+                for order in "CF":
+                    with np.errstate(all="ignore"):
+                        want = reference_design(basis, rows, order)
+                    got = _design_matrix(basis, rows, order)
+                    assert got.strides == want.strides
+                    assert got.tobytes(order="A") == want.tobytes(order="A")
+    with np.errstate(all="ignore"):
+        overflowed = _design_matrix(canonical, extremes)
+    assert np.isinf(overflowed).any() == (k >= 2)
+    assert np.isnan(overflowed).any() == (k >= 3 and d >= 2)
+
+
 # ----------------------------------------------------------------------- fit
 
 def test_fit_noiseless_linear_series():
