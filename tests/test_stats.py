@@ -86,6 +86,32 @@ def test_sf_matches_high_precision_reference():
             )
 
 
+# student_t_sf(t, df) for t in _SF_PIN_T, as float.hex; a rewrite of the
+# continued fraction must reproduce every bit
+_SF_PIN_T = (0.1, 1.0, 2.5, 10.0, 40.0)
+_SF_PIN = [
+    (1, ("0x1.df835890bf95bp-2", "0x1.0000000000004p-2", "0x1.f01a6a50f0decp-4",
+         "0x1.03e53b7a03525p-5", "0x1.04b484fcf3acap-7")),
+    (2, ("0x1.dbe2e4d980882p-2", "0x1.b0cb174df99cep-3", "0x1.0971de9c3cce7p-4",
+         "0x1.42d86659a7ab4p-8", "0x1.475f84c4f7eefp-12")),
+    (3, ("0x1.da722d39b8db9p-2", "0x1.9062e2bc5059cp-3", "0x1.673f15c8a9cf9p-5",
+         "0x1.16f938b28c357p-10", "0x1.2067f3263662dp-16")),
+    (7, ("0x1.d8a6dccabca5ap-2", "0x1.67080df0fb572p-3", "0x1.4fcee9c6ebdd6p-6",
+         "0x1.66ef66d86c5f6p-17", "0x1.b51da4bddd73ap-31")),
+    (30, ("0x1.d78e9263e1b9bp-2", "0x1.4d1db3a1728aep-3", "0x1.28ce8a12c31e1p-7",
+          "0x1.927180b00a0acp-36", "0x1.b2fee8898689cp-91")),
+    (399, ("0x1.d73df45add8a2p-2", "0x1.458bebe720706p-3", "0x1.a414e610fbb45p-8",
+           "0x1.181bba4b853f3p-69", "0x1.a3483eea77ec2p-470")),
+    (3999, ("0x1.d7380747c6067p-2", "0x1.44fce813042dep-3", "0x1.984250ecd0a37p-8",
+            "0x1.13f88ed49b4afp-76", "0x1.b6b1414b5294dp-978")),
+]
+
+
+@pytest.mark.parametrize("df, want", _SF_PIN, ids=[f"df{df}" for df, _ in _SF_PIN])
+def test_sf_bits_are_pinned(df, want):
+    assert tuple(student_t_sf(t, df).hex() for t in _SF_PIN_T) == want
+
+
 def test_sf_symmetry():
     for t in (0.5, 1.7, 4.0):
         assert student_t_sf(-t, 9.0) == pytest.approx(
