@@ -109,8 +109,6 @@ _SPECS = {
         **_CSV, **_PROTOCOL, "alpha": (float, None, "exp.alpha"),
         "rbf_units": (int, 36, "rbf.units"), "rbf_lr": (float, 0.000264, "rbf.learning_rate"),
         "rbf_epochs": (int, 60, "rbf.epochs"), "rbf_batch": (int, 109, "rbf.batch_size"),
-        "rbf_target_mse": (float, None, "rbf.target_mse"),
-        "rbf_max_units": (int, None, "rbf.max_units"),
         "seeds": (_parse_int_list, None, "exp.seeds"),
         "format": (_parse_format, "json", "cli.format"), "out": (str, None, "cli.out"),
     },
@@ -144,13 +142,16 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _parse_argv(argv: list[str]) -> tuple[str, dict]:
+def _parse_argv(argv: list[str]) -> tuple[str | None, dict | None]:
     """Read 'COMMAND (--name value | --name=value)...' into the command and {key: text}.
 
     A flag is its option's config-file key with '--' in front.  A value
-    is the next token unless that token starts with '--', so -inf and
-    -1e3 are values; --no-header alone means true.
+    is the next token unless that token starts with '--', so -inf, -1e3
+    and -h are values; --no-header alone means true.  -h or --help in a
+    flag's place asks for help: texts None (and command None if first).
     """
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
     if not argv or argv[0] not in _SPECS:
         raise ConfigError(f"expected a command, one of {', '.join(_SPECS)} (see lagcast --help)")
     command, tokens = argv[0], list(argv[1:])
@@ -158,6 +159,8 @@ def _parse_argv(argv: list[str]) -> tuple[str, dict]:
     texts = {}
     while tokens:
         token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            return command, None
         if not token.startswith("--"):
             raise ConfigError(f"unexpected argument {token!r} (see lagcast {command} --help)")
         name, has_value, text = token.partition("=")
@@ -293,11 +296,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if {"-h", "--help"} & set(argv):
-        print(_usage(argv[:1] if argv[0] in _SPECS else _SPECS))
-        return 0
     try:
         command, texts = _parse_argv(argv)
+        if texts is None:
+            print(_usage(_SPECS if command is None else [command]))
+            return 0
         return _HANDLERS[command](_effective(command, texts))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -112,8 +112,9 @@ class ExperimentConfig:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
-        if self.rbf_config.seed != RbfTrainConfig.seed:
-            raise ConfigError(f"rbf_config.seed is {self.rbf_config.seed}; seeds sets the RBF seed")
+        if self.rbf_config.seed != RbfTrainConfig.seed or self.rbf_config.target_mse is not None:
+            raise ConfigError("rbf_config sets a seed or growth (target_mse, max_units): seeds "
+                              "sets the RBF seed, and a comparison fits one fixed network")
         for s in self.seeds:  # RbfTrainConfig decides which seeds are valid
             replace(self.rbf_config, seed=s)
         if not (0.0 < self.alpha < 1.0):
@@ -212,14 +213,18 @@ def _split(config: ExperimentConfig) -> tuple[str, WindowedDataset, WindowedData
 def _pc_forecast(train: WindowedDataset, test: WindowedDataset, degree: int,
                  ridge_lambda: float) -> np.ndarray:
     """PC's fit on the training windows and its test forecasts: Execution Time's work."""
-    return poly.rolling_forecast(poly.fit(train, degree, ridge_lambda), test)
+    pred = poly.rolling_forecast(poly.fit(train, degree, ridge_lambda), test)
+    if not np.all(np.isfinite(pred)):
+        raise FitError(f"degree {degree} forecasts overflow on the test windows; "
+                       "rescale the series or lower the degree")
+    return pred
 
 
 def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
     """Fit and score the polynomial model at every configured degree.
 
-    A degree whose fit or scoring fails contributes a marked failure row
-    instead of aborting the sweep.
+    A degree whose fit or scoring fails, or whose basis is over the cap,
+    contributes a marked failure row instead of aborting the sweep.
     """
     dataset, train, test = _split(config)
     rows = []
@@ -230,7 +235,7 @@ def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
                 degree=degree, exec_seconds=res.seconds,
                 metrics=metric_report(test.targets, res.value),
             ))
-        except (FitError, UndefinedMetricError) as exc:
+        except (ConfigError, FitError, UndefinedMetricError) as exc:
             rows.append(SweepRow(degree=degree, exec_seconds=None,
                                  metrics=None, error=str(exc)))
     return SweepResult(dataset=dataset, window_d=config.window_d,
@@ -287,15 +292,13 @@ _VERDICTS = {A_BETTER: "PC_better", B_BETTER: "RBFNN_better", NO_DIFFERENCE: NO_
 def run_comparison(config: ExperimentConfig, seed: int | None = None) -> ComparisonReport:
     """Head-to-head PC vs RBFNN on identical train/test windows.
 
-    The polynomial model runs at the smallest configured degree.  The
-    RBF network trains with the given seed (first configured seed when
-    omitted), growing units if the rbf config carries a target_mse.
-    Significance tests compare per-point absolute errors; ties that are
+    PC runs at the smallest configured degree, and RBFNN is one fixed
+    network, trained with the given seed (the first configured seed when
+    omitted).  Significance tests compare per-point absolute errors; ties
     too degenerate to test are reported as such rather than failing.
     """
     dataset, train, test = _split(config)
     rbf_cfg = replace(config.rbf_config, seed=int(config.seeds[0] if seed is None else seed))
-    grow = rbf_cfg.target_mse is not None
     degree = int(min(config.degrees))
 
     def stage(name: str, job):
@@ -312,8 +315,7 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     )
 
     def rbf_job() -> tuple[rbf.TrainTrace, np.ndarray]:
-        fit_net = rbf.grow_until_target if grow else rbf.fit_fixed
-        net, trace = fit_net(train.inputs, train.targets, rbf_cfg)
+        net, trace = rbf.fit_fixed(train.inputs, train.targets, rbf_cfg)
         return trace, rbf.batch_forward(net, test.inputs)
 
     rbf_run = stage("RBFNN training", rbf_job)
@@ -324,7 +326,7 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
         detail={
             "units": trace.final_units, "epochs": trace.epochs_run,
             "learning_rate": rbf_cfg.learning_rate, "batch_size": rbf_cfg.batch_size,
-            "seed": rbf_cfg.seed, "mode": "grow" if grow else "fixed",
+            "seed": rbf_cfg.seed,
             "stop_reason": trace.stop_reason, "train_mse": trace.best_mse,
         },
     )

@@ -131,6 +131,42 @@ def test_sweep_all_degrees_failed_is_exit_4(tmp_path, capsys):
     assert "every degree failed" in captured.err
 
 
+def overflow_csv(tmp_path):
+    """1e59 to 2e59 over 192 points, then to 2e62 over 48: PC's fits are
+    finite, but at degree 5 and d = 2 its test forecasts overflow."""
+    vals = np.concatenate([np.linspace(1e59, 2e59, 192), np.linspace(2e59, 2e62, 49)[1:]])
+    return write_series(tmp_path / "overflow.csv", vals)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_sweep_marks_an_overflowing_forecast_failed(tmp_path, capsys):
+    data = overflow_csv(tmp_path)
+    assert main(["sweep", "--data", data, "--window", "2", "--degrees", "1..5",
+                 "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows[:4]] == [""] * 4
+    assert rows[4].startswith("5,-,-,-,-,degree 5 forecasts overflow on the test windows;")
+    # compare fits PC at the smallest degree, here the overflowing one
+    assert main(["compare", "--data", data, "--window", "2", "--degrees", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fit error: comparison aborted at stage 'PC fit': "
+                                   "degree 5 forecasts overflow")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_sweep_marks_a_degree_over_the_basis_cap_failed(tmp_path, capsys):
+    data = seasonal_csv(tmp_path, n=240)
+    assert main(["sweep", "--data", data, "--column", "v", "--window", "180",
+                 "--format", "csv"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
+    assert [r[-1] for r in rows[:2]] == ["", ""]
+    for k, r in zip((3, 4, 5), rows[2:]):
+        assert r[-1] == f"basis for d=180; K={k} has more than 100000 terms (the cap)"
+
+
 # ----------------------------------------------------------------- exit codes
 
 def test_missing_required_flag_is_exit_2(capsys):
@@ -149,12 +185,11 @@ def test_bad_flag_value_is_exit_2(tmp_path, capsys):
     ["compare", "--lambda", "inf"],
     ["compare", "--rbf-lr", "nan"],
     ["compare", "--rbf-lr", "inf"],
-    ["compare", "--rbf-target-mse", "nan", "--rbf-max-units", "8"],
     ["sweep", "--lambda", "-inf"],
     ["compare", "--lambda", "-1e3"],
     ["compare", "--rbf-lr", "-inf"],
 ], ids=["sweep-lambda-nan", "compare-lambda-inf", "compare-lr-nan",
-        "compare-lr-inf", "compare-target-nan", "sweep-lambda-minus-inf",
+        "compare-lr-inf", "sweep-lambda-minus-inf",
         "compare-lambda-minus-1e3", "compare-lr-minus-inf"])
 def test_non_finite_flag_is_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.txt"
@@ -176,8 +211,6 @@ def refuse_work(*args, **kwargs):
     ["sweep", "--format", "xml"],
     ["sweep", "--degrees", "1..1000000000000000"],
     ["compare", "--seeds", "0..1000000000000000"],
-    ["compare", "--rbf-target-mse", "0.1"],
-    ["compare", "--rbf-max-units", "40"],
     ["compare", "--seeds", "-1"],
     ["compare", "--seeds", "0,-1"],
     ["sweep", "--degrees", "2,1,2"],
@@ -191,8 +224,7 @@ def refuse_work(*args, **kwargs):
     ["compare", "--seed", "3"],
     ["sweep", "stray"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
-        "sweep-huge-degree-range", "compare-huge-seed-range",
-        "compare-target-mse-only", "compare-max-units-only", "compare-negative-seed",
+        "sweep-huge-degree-range", "compare-huge-seed-range", "compare-negative-seed",
         "compare-negative-second-seed", "sweep-repeated-degree",
         "compare-repeated-seed", "unknown-option",
         "unknown-command", "no-command", "option-missing-value",
@@ -206,6 +238,23 @@ def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, arg
     assert code == 2
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("config error")
     assert captured.out == ""
+
+
+def test_growth_options_are_unknown_options(tmp_path, capsys, monkeypatch):
+    # compare fits one fixed network; growth is rbf.grow_until_target's alone
+    for name in ("run_comparison", "run_comparison_suite"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rbf_target_mse = 0.1\nrbf_max_units = 8\n")
+    data = ["--data", seasonal_csv(tmp_path, n=120), "--column", "v"]
+    for growth, name in ((["--rbf-target-mse", "0.1", "--rbf-max-units", "8"],
+                          "unknown option --rbf-target-mse"),
+                         (["--config", str(cfg)], "rbf_max_units, rbf_target_mse")):
+        code = main(["compare", *growth, *data])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error") and name in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_synth_parameter_of_another_kind_is_exit_2(tmp_path, capsys):
@@ -459,6 +508,30 @@ def test_help_names_every_flag(capsys, argv):
     assert {"--" + name.replace("_", "-") for name in names} <= words
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["sweep", "--column", "-h"], ("sweep", {"column": "-h"})),
+    (["sweep", "--out", "-h", "--data", "s.csv"], ("sweep", {"out": "-h", "data": "s.csv"})),
+    (["sweep", "--out=--help"], ("sweep", {"out": "--help"})),
+    (["sweep", "--column", "v", "-h"], ("sweep", None)),
+    (["sweep", "--help", "--column", "-h"], ("sweep", None)),
+    (["-h", "sweep"], (None, None)),
+], ids=["column-value", "out-value", "joined-value", "after-a-value", "before-a-value",
+        "first"])
+def test_help_only_in_a_flags_place(argv, want):
+    assert cli._parse_argv(argv) == want
+
+
+def test_help_as_a_value_runs_the_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--data", seasonal_csv(tmp_path), "--window", "4", "--degrees", "1"]
+    assert main([*argv, "--column", "v", "--out", "-h"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "-h").read_text().startswith("### series")
+    assert main([*argv, "--column", "-h"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("data error")
+
+
 # ---------------------------------------------------------------- config file
 
 # a valid text for every option key of every command
@@ -468,8 +541,7 @@ SAMPLE_TEXT = {
     "coeffs": "0.5,0.2", "data": "series.csv", "column": "v", "no_header": "false",
     "window": "4", "degrees": "1..3", "lambda": "0.1", "train_fraction": "0.7",
     "format": "csv", "alpha": "0.01", "rbf_units": "5", "rbf_lr": "0.01",
-    "rbf_epochs": "3", "rbf_batch": "8", "rbf_target_mse": "0.5",
-    "rbf_max_units": "9", "seeds": "0,1", "model": "model.json",
+    "rbf_epochs": "3", "rbf_batch": "8", "seeds": "0,1", "model": "model.json",
 }
 
 

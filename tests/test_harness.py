@@ -131,8 +131,10 @@ def test_config_validation():
         ExperimentConfig(source=src, degrees=(2, 1, 2))
     with pytest.raises(ConfigError, match="seeds must not repeat"):
         ExperimentConfig(source=src, seeds=(0, 3, 3))
-    with pytest.raises(ConfigError, match="seeds"):
-        ExperimentConfig(source=src, rbf_config=RbfTrainConfig(seed=5))
+    # seeds sets the RBF seed, and a comparison fits a fixed network
+    for rbf_config in (RbfTrainConfig(seed=5), RbfTrainConfig(target_mse=0.1, max_units=8)):
+        with pytest.raises(ConfigError, match="seeds sets the RBF seed.*one fixed network"):
+            ExperimentConfig(source=src, rbf_config=rbf_config)
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, alpha=1.5)
     with pytest.raises(ConfigError):
