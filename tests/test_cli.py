@@ -211,6 +211,8 @@ def refuse_work(*args, **kwargs):
     ["sweep", "--format", "xml"],
     ["sweep", "--degrees", "1..1000000000000000"],
     ["compare", "--seeds", "0..1000000000000000"],
+    ["compare", "--rbf-target-mse", "0.1"],
+    ["compare", "--rbf-max-units", "40"],
     ["compare", "--seeds", "-1"],
     ["compare", "--seeds", "0,-1"],
     ["sweep", "--degrees", "2,1,2"],
@@ -224,7 +226,8 @@ def refuse_work(*args, **kwargs):
     ["compare", "--seed", "3"],
     ["sweep", "stray"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
-        "sweep-huge-degree-range", "compare-huge-seed-range", "compare-negative-seed",
+        "sweep-huge-degree-range", "compare-huge-seed-range",
+        "compare-target-mse-only", "compare-max-units-only", "compare-negative-seed",
         "compare-negative-second-seed", "sweep-repeated-degree",
         "compare-repeated-seed", "unknown-option",
         "unknown-command", "no-command", "option-missing-value",
