@@ -247,7 +247,7 @@ def _cmd_synth(g: dict) -> int:
 def _cmd_sweep(g: dict) -> int:
     result = run_degree_sweep(ExperimentConfig(source=CsvSource(**g["csv"]), **g["exp"]))
     _emit(render_report(result, g["cli"]["format"]), g["cli"].get("out"))
-    if all(r.failed for r in result.rows):
+    if all(r.error is not None for r in result.rows):
         print("every degree failed to fit", file=sys.stderr)
         return 4
     return 0
@@ -273,10 +273,11 @@ def _cmd_forecast(g: dict) -> int:
     kind, fields = read_model_document(text)
     model = (rbf if kind == "an RBF" else poly).from_document(fields)
     windows = make_windows(resolve_source(CsvSource(**g["csv"])), int(fields["d"]))
-    if kind == "an RBF":
-        preds = rbf.batch_forward(model, windows.inputs)
-    else:
-        preds = poly.rolling_forecast(model, windows)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
+        if kind == "an RBF":
+            preds = rbf.batch_forward(model, windows.inputs)
+        else:
+            preds = poly.rolling_forecast(model, windows)
     if not np.all(np.isfinite(preds)):
         raise DataError(f"{v['model']} gives non-finite forecasts on this series")
     lines = ["index,prediction"]

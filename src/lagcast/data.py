@@ -210,7 +210,7 @@ def _gaussians(seed: int, n: int) -> list[float]:
     and Box-Muller over consecutive pairs of uniforms, cosine first.  An
     odd n drops the last pair's sine.
     """
-    state = seed & _MASK64
+    state = seed  # in [0, 2**64), as _check_common requires
     uniforms = []
     for _ in range(2 * ((n + 1) // 2)):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -225,9 +225,15 @@ def _gaussians(seed: int, n: int) -> list[float]:
     return draws[:n]
 
 
-def _check_common(n: int, noise_sd: float):
+def _check_common(n: int, seed: int, noise_sd: float, **floats):
+    """The generators' shared checks: n, the seed, and every float parameter."""
     if n <= 0:
         raise ConfigError(f"n must be positive, got {n}")
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    for name, value in {"noise_sd": noise_sd, **floats}.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
 
@@ -239,7 +245,7 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
     value_i = amplitude * sin(2*pi*i / period) + trend * i + noise_i.
     Deterministic per seed on every platform (see _gaussians).
     """
-    _check_common(n, noise_sd)
+    _check_common(n, seed, noise_sd, amplitude=amplitude, trend=trend)
     if period <= 0:
         raise ConfigError(f"period must be positive, got {period}")
     if n < 4 * period:
@@ -257,7 +263,7 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
 def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
                       *, seed: int) -> TimeSeries:
     """Random walk from 0: v_{i+1} = v_i + drift + gaussian(0, noise_sd)."""
-    _check_common(n, noise_sd)
+    _check_common(n, seed, noise_sd, drift=drift)
     steps = [drift + noise_sd * z for z in _gaussians(seed, n - 1)]
     values = np.concatenate([[0.0], np.cumsum(steps)]) if n > 1 else np.zeros(1)
     return TimeSeries(name=f"walk-{seed}", values=values)
@@ -273,7 +279,7 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
     coeffs = [float(c) for c in coeffs]
     if not coeffs:
         raise ConfigError("coeffs must not be empty")
-    _check_common(n, noise_sd)
+    _check_common(n, seed, noise_sd, coeffs=coeffs)
     p = len(coeffs)
     if n <= p:
         raise ConfigError(f"n={n} must exceed the AR order {p}")

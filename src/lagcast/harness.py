@@ -166,23 +166,22 @@ def windowed_split(series: TimeSeries, d: int,
     return train, test
 
 
-def _table_fields(row) -> dict:
-    """A SweepRow's or ModelRow's _TABLE_FIELDS; a failed row's metrics are None."""
+def _table_fields(row: ModelRow) -> dict:
+    """A row's _TABLE_FIELDS; a failed row's metrics are None."""
     m = row.metrics
     return {"exec_seconds": row.exec_seconds,
             **{k: getattr(m, k) if m else None for k in _TABLE_FIELDS[1:]}}
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    degree: int
-    exec_seconds: float | None
-    metrics: MetricReport | None
-    error: str | None = None
+class ModelRow:
+    """One row of the paper's table: a compared model, or one degree of a sweep."""
 
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
+    model: str
+    exec_seconds: float | None  # None, as are metrics, on a failed sweep degree
+    metrics: MetricReport | None
+    detail: dict = field(default_factory=dict)
+    error: str | None = None  # a sweep degree's failure; a comparison aborts instead
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ class SweepResult:
     rows: tuple
 
     def to_dict(self) -> dict:
-        rows = [{"degree": r.degree, **_table_fields(r), "error": r.error}
+        rows = [{"degree": r.detail["degree"], **_table_fields(r), "error": r.error}
                 for r in self.rows]
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
@@ -210,14 +209,24 @@ def _split(config: ExperimentConfig) -> tuple[str, WindowedDataset, WindowedData
     return (series.name, *windowed_split(series, config.window_d, config.train_fraction))
 
 
-def _pc_forecast(train: WindowedDataset, test: WindowedDataset, degree: int,
-                 ridge_lambda: float) -> np.ndarray:
-    """PC's fit on the training windows and its test forecasts: Execution Time's work."""
-    pred = poly.rolling_forecast(poly.fit(train, degree, ridge_lambda), test)
-    if not np.all(np.isfinite(pred)):
-        raise FitError(f"degree {degree} forecasts overflow on the test windows; "
-                       "rescale the series or lower the degree")
-    return pred
+def _pc_run(train: WindowedDataset, test: WindowedDataset, degree: int,
+            ridge_lambda: float) -> tuple[ModelRow, np.ndarray]:
+    """PC's row and test forecasts.  Execution Time covers the fit, the
+    forecasts and their overflow check; the scoring follows the stopwatch."""
+    def job() -> np.ndarray:
+        model = poly.fit(train, degree, ridge_lambda)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as the FitError below
+            pred = poly.rolling_forecast(model, test)
+        if not np.all(np.isfinite(pred)):
+            raise FitError(f"degree {degree} forecasts overflow on the test windows; "
+                           "rescale the series or lower the degree")
+        return pred
+
+    run = timed(job)
+    row = ModelRow(model=PC, exec_seconds=run.seconds,
+                   metrics=metric_report(test.targets, run.value),
+                   detail={"degree": degree, "ridge_lambda": ridge_lambda})
+    return row, run.value
 
 
 def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
@@ -230,24 +239,12 @@ def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
     rows = []
     for degree in config.degrees:
         try:
-            res = timed(lambda: _pc_forecast(train, test, degree, config.ridge_lambda))
-            rows.append(SweepRow(
-                degree=degree, exec_seconds=res.seconds,
-                metrics=metric_report(test.targets, res.value),
-            ))
+            rows.append(_pc_run(train, test, degree, config.ridge_lambda)[0])
         except (ConfigError, FitError, UndefinedMetricError) as exc:
-            rows.append(SweepRow(degree=degree, exec_seconds=None,
-                                 metrics=None, error=str(exc)))
+            rows.append(ModelRow(model=PC, exec_seconds=None, metrics=None, error=str(exc),
+                                 detail={"degree": degree, "ridge_lambda": config.ridge_lambda}))
     return SweepResult(dataset=dataset, window_d=config.window_d,
                        ridge_lambda=config.ridge_lambda, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class ModelRow:
-    model: str
-    exec_seconds: float
-    metrics: MetricReport
-    detail: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -303,22 +300,17 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
 
     def stage(name: str, job):
         try:
-            return timed(job)
+            return job()
         except FitError as exc:
             raise FitError(f"comparison aborted at stage '{name}': {exc}") from exc
 
-    pc_run = stage("PC fit", lambda: _pc_forecast(train, test, degree, config.ridge_lambda))
-    pc_row = ModelRow(
-        model=PC, exec_seconds=pc_run.seconds,
-        metrics=metric_report(test.targets, pc_run.value),
-        detail={"degree": degree, "ridge_lambda": config.ridge_lambda},
-    )
+    pc_row, pc_pred = stage("PC fit", lambda: _pc_run(train, test, degree, config.ridge_lambda))
 
     def rbf_job() -> tuple[rbf.TrainTrace, np.ndarray]:
         net, trace = rbf.fit_fixed(train.inputs, train.targets, rbf_cfg)
         return trace, rbf.batch_forward(net, test.inputs)
 
-    rbf_run = stage("RBFNN training", rbf_job)
+    rbf_run = stage("RBFNN training", lambda: timed(rbf_job))
     trace, rbf_pred = rbf_run.value
     rbf_row = ModelRow(
         model=RBFNN, exec_seconds=rbf_run.seconds,
@@ -331,7 +323,7 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
         },
     )
 
-    err_pc = np.abs(test.targets - pc_run.value)
+    err_pc = np.abs(test.targets - pc_pred)
     err_rbf = np.abs(test.targets - rbf_pred)
     t_res = w_res = None
     verdict = NO_DIFFERENCE
@@ -366,10 +358,16 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
 
 @dataclass(frozen=True)
 class ComparisonSuite:
-    """One comparison per configured seed plus a median summary."""
+    """One comparison per configured seed."""
 
     reports: tuple
-    median_summary: dict
+
+    @property
+    def median_summary(self) -> dict:
+        """Each model's median of each table field over the seeds."""
+        return {name: {k: float(np.median([_table_fields(r.models[idx])[k] for r in self.reports]))
+                       for k in _TABLE_FIELDS}
+                for idx, name in enumerate((PC, RBFNN))}
 
     def to_dict(self) -> dict:
         return {
@@ -380,13 +378,7 @@ class ComparisonSuite:
 
 
 def run_comparison_suite(config: ExperimentConfig) -> ComparisonSuite:
-    reports = tuple(run_comparison(config, seed=s) for s in config.seeds)
-    summary = {}
-    for idx, name in ((0, PC), (1, RBFNN)):
-        rows = [_table_fields(r.models[idx]) for r in reports]
-        summary[name] = {k: float(np.median([row[k] for row in rows]))
-                         for k in _TABLE_FIELDS}
-    return ComparisonSuite(reports=reports, median_summary=summary)
+    return ComparisonSuite(tuple(run_comparison(config, seed=s) for s in config.seeds))
 
 
 # -- rendering ---------------------------------------------------------
@@ -432,7 +424,7 @@ def _test_line(label: str, t: PairedTestResult | None) -> str:
 
 def _sweep_table(result: SweepResult, fmt: str) -> str:
     heads = (("Degree", "degree"),) + _FIELD_HEADS + (("Status", "error"),)
-    rows = [[str(r.degree), *_cells(_table_fields(r)),
+    rows = [[str(r.detail["degree"]), *_cells(_table_fields(r)),
              ("ok", "") if r.error is None else (f"failed: {r.error}", r.error)]
             for r in result.rows]
     return _table(fmt, heads, rows, f"### {result.dataset} (window d={result.window_d})")

@@ -95,15 +95,8 @@ class TimedResult:
 def timed(action: Callable[[], T]) -> TimedResult:
     """Run action once, measuring wall time with a monotonic clock.
 
-    Only the callable itself is timed.  Exceptions propagate unchanged;
-    the elapsed time is attached as a note where the runtime supports it.
+    Only the callable itself is timed; its exceptions propagate unchanged.
     """
     start = time.perf_counter()
-    try:
-        value = action()
-    except Exception as exc:
-        elapsed = time.perf_counter() - start
-        if hasattr(exc, "add_note"):
-            exc.add_note(f"failed after {elapsed:.6f}s")
-        raise
+    value = action()
     return TimedResult(value=value, seconds=time.perf_counter() - start)

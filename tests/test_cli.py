@@ -139,7 +139,6 @@ def overflow_csv(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_sweep_marks_an_overflowing_forecast_failed(tmp_path, capsys):
     data = overflow_csv(tmp_path)
     assert main(["sweep", "--data", data, "--window", "2", "--degrees", "1..5",
@@ -267,6 +266,25 @@ def test_synth_parameter_of_another_kind_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and "'drift'" in err and "'seasonal'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--kind", "ar", "--coeffs", "0.5,nan"], "coeffs"),
+    (["--kind", "walk", "--drift", "nan"], "drift"),
+    (["--kind", "seasonal", "--trend", "inf"], "trend"),
+    (["--kind", "walk", "--noise-sd", "nan"], "noise_sd"),
+    (["--kind", "seasonal", "--amplitude", "nan"], "amplitude"),
+    (["--kind", "walk", "--seed", "-1"], "seed"),
+    (["--kind", "walk", "--seed", str(2**64)], "seed"),
+], ids=["ar-nan-coeff", "walk-nan-drift", "seasonal-inf-trend", "walk-nan-noise-sd",
+        "seasonal-nan-amplitude", "negative-seed", "seed-2-to-the-64"])
+def test_synth_bad_parameter_is_exit_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "s.csv"
+    code = main(["synth", *argv, "--n", "50", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {name} must be")
     assert not out.exists()
 
 
@@ -404,7 +422,6 @@ def model_doc(kind, tmp_path):
         "poly-fractional-d", "poly-fractional-k", "poly-zero-d", "poly-negative-lambda",
         "poly-nan-lambda", "poly-quoted-lambda", "poly-quoted-weight",
         "poly-boolean-version", "rbf-boolean-bias", "rbf-quoted-width"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
                                               index, value):
     doc = model_doc(kind, tmp_path)
@@ -423,6 +440,24 @@ def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
     assert code == 3
     assert len(err.splitlines()) == 1 and err.startswith("data error")
     assert not out.exists()
+
+
+def test_forecast_overflow_prints_one_line(tmp_path):
+    poly_doc = model_doc("poly", tmp_path)
+    poly_doc["weights"][1] = 1.7e308
+    rbf_doc = json.loads(rbf.to_json(rbf.RbfNetwork(
+        centers=np.zeros((2, 4)), widths=np.full(2, 1e9), out_weights=np.full(2, 1e308),
+        bias=0.0)))
+    data = seasonal_csv(tmp_path)
+    for kind, doc in (("poly", poly_doc), ("rbf", rbf_doc)):
+        model, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+        model.write_text(json.dumps(doc))
+        r = run_cli("forecast", "--model", str(model), "--data", data, "--column", "v",
+                    "--out", str(out))
+        assert r.returncode == 3, kind
+        assert r.stderr.splitlines() == [f"data error: {model} gives non-finite forecasts "
+                                         "on this series"], kind
+        assert not out.exists()
 
 
 def test_forecast_deeply_nested_model_is_exit_3(tmp_path, capsys):

@@ -19,7 +19,6 @@ from lagcast.harness import (
     ExperimentConfig,
     ModelRow,
     SweepResult,
-    SweepRow,
     SynthSource,
     config_hash,
     render_comparison,
@@ -164,8 +163,8 @@ def test_sweep_noiseless_linear_degree_one():
     with pytest.warns(UserWarning):  # collinear ramp hits the fallback
         result = run_degree_sweep(cfg)
     assert len(result.rows) == 1
-    assert result.rows[0].degree == 1
-    assert not result.rows[0].failed
+    assert result.rows[0].detail["degree"] == 1
+    assert result.rows[0].error is None
     assert result.rows[0].metrics.mae < 1e-6
 
 
@@ -180,16 +179,16 @@ def test_sweep_row_per_degree_and_failures_flagged(tmp_path):
     )
     with pytest.warns(UserWarning, match="minimum-norm"):
         result = run_degree_sweep(cfg)
-    assert [r.degree for r in result.rows] == [1, 5]
-    assert not result.rows[0].failed
-    assert result.rows[1].failed
+    assert [r.detail["degree"] for r in result.rows] == [1, 5]
+    assert result.rows[0].error is None
+    assert result.rows[1].exec_seconds is None and result.rows[1].metrics is None
     assert "overflow" in result.rows[1].error
 
 
 def test_sweep_keeps_configured_degree_order():
     cfg = seasonal_config(degrees=(3, 1, 2))
     result = run_degree_sweep(cfg)
-    assert [r.degree for r in result.rows] == [3, 1, 2]
+    assert [r.detail["degree"] for r in result.rows] == [3, 1, 2]
 
 
 # ---------------------------------------------------------------- comparison
@@ -262,6 +261,15 @@ def test_suite_reports_and_median():
     jsonschema.validate(suite.to_dict(), COMPARISON_SUITE_SCHEMA)
 
 
+def test_sweep_degree_row_is_the_comparison_pc_row():
+    cfg = seasonal_config(degrees=(1, 2))
+    sweep_row = run_degree_sweep(cfg).rows[0]
+    pc_row = run_comparison(cfg).models[0]
+    assert sweep_row.detail == pc_row.detail == {"degree": 1, "ridge_lambda": 0.0}
+    assert sweep_row.metrics == pc_row.metrics
+    assert sweep_row.model == pc_row.model == "PC" and sweep_row.error is None
+
+
 # ----------------------------------------------------------------- rendering
 
 def fixture_report():
@@ -285,23 +293,24 @@ def fixture_report():
 def fixture_sweep():
     ok = MetricReport(mae=0.123456, rmse=0.234567, cv_rmse_pct=3.456789, n=40)
     return SweepResult(dataset="gold", window_d=4, ridge_lambda=0.0, rows=(
-        SweepRow(degree=1, exec_seconds=0.0123, metrics=ok),
-        SweepRow(degree=2, exec_seconds=None, metrics=None,
+        ModelRow(model="PC", exec_seconds=0.0123, metrics=ok, detail={"degree": 1}),
+        ModelRow(model="PC", exec_seconds=None, metrics=None, detail={"degree": 2},
                  error="design for degree 2 is singular, refit"),
     ))
 
 
 def fixture_suite():
     first = fixture_report()
+    pc = replace(first.models[0], exec_seconds=0.247, metrics=MetricReport(
+        mae=23.52417, rmse=30.60472, cv_rmse_pct=1.65969, n=50))
     second = replace(
-        first, verdict="PC_better", degenerate=False, metadata={"seed": 1},
+        first, models=(pc, first.models[1]),
+        verdict="PC_better", degenerate=False, metadata={"seed": 1},
         t_test=PairedTestResult("paired_t", -2.5, 0.0123, 50, -1),
         wilcoxon=PairedTestResult("wilcoxon_normal_approx", 412.0, 0.0456, 48, -1,
                                   w_plus=412.0, w_minus=764.0),
     )
-    summary = {"PC": {"exec_seconds": 0.2, "mae": 23.5, "rmse": 30.6, "cv_rmse_pct": 1.66},
-               "RBFNN": {"exec_seconds": 0.31, "mae": 24.0, "rmse": 31.0, "cv_rmse_pct": 1.7}}
-    return ComparisonSuite(reports=(first, second), median_summary=summary)
+    return ComparisonSuite(reports=(first, second))
 
 
 _GOLD_COMPARISON_MD = """### gold
@@ -336,7 +345,7 @@ verdict,no_significant_difference,,,""",
 
 Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)
 --- | --- | --- | --- | ---
-PC | 0.153 | 23.4758 | 30.5953 | 1.6603
+PC | 0.247 | 23.5242 | 30.6047 | 1.6597
 RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000
 
 Paired t-test: statistic=-2.5000, p=0.0123, n=50
@@ -352,7 +361,7 @@ RBFNN | 0.31 | 24.0000 | 31.0000 | 1.7000""",
     ("suite", "csv"): """seed,model,exec_seconds,mae,rmse,cv_rmse_pct,verdict
 0,PC,0.153,23.4758,30.5953,1.6603,no_significant_difference
 0,RBFNN,0.31,24.0000,31.0000,1.7000,no_significant_difference
-1,PC,0.153,23.4758,30.5953,1.6603,PC_better
+1,PC,0.247,23.5242,30.6047,1.6597,PC_better
 1,RBFNN,0.31,24.0000,31.0000,1.7000,PC_better""",
 }
 
