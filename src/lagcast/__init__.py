@@ -57,7 +57,6 @@ from .rbf import (
 from .stats import (
     PairedTestResult,
     paired_t_test,
-    significance_verdict,
     student_t_sf,
     wilcoxon_signed_rank,
 )

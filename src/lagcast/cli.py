@@ -14,6 +14,7 @@ fit or training error.
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,11 @@ def _parse_format(text: str) -> str:
 
 def _parse_column(text: str) -> str | int:
     t = text.strip()
-    return int(t) if t.lstrip("-").isdigit() else t
+    if not t.lstrip("-").isdigit():
+        return t
+    if int(t) < 0:
+        raise ConfigError(f"index must be >= 0, got {t}")
+    return int(t)
 
 
 def _wrap(conv, key: str):
@@ -297,21 +302,23 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        command, texts = _parse_argv(argv)
-        if texts is None:
-            print(_usage(_SPECS if command is None else [command]))
-            return 0
-        return _HANDLERS[command](_effective(command, texts))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, UndefinedMetricError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():  # one line per warning; the filters still decide which
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            command, texts = _parse_argv(argv)
+            if texts is None:
+                print(_usage(_SPECS if command is None else [command]))
+                return 0
+            return _HANDLERS[command](_effective(command, texts))
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (DataError, UndefinedMetricError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 3
+        except FitError as exc:
+            print(f"fit error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -28,8 +28,7 @@ from .errors import ConfigError, DataError, DegenerateSampleError, FitError, \
     UndefinedMetricError
 from .metrics import MetricReport, metric_report, timed
 from .rbf import RbfTrainConfig
-from .stats import A_BETTER, B_BETTER, NO_DIFFERENCE, PairedTestResult, \
-    paired_t_test, significance_verdict, wilcoxon_signed_rank
+from .stats import PairedTestResult, paired_t_test, wilcoxon_signed_rank
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -283,7 +282,15 @@ def _test_dict(t: PairedTestResult | None) -> dict | None:
             if f.name != "p_exact" and (v := getattr(t, f.name)) is not None}
 
 
-_VERDICTS = {A_BETTER: "PC_better", B_BETTER: "RBFNN_better", NO_DIFFERENCE: NO_DIFFERENCE}
+def _verdict(result: PairedTestResult | None, alpha: float) -> str:
+    """The comparison's verdict from its deciding test (None: no test ran).
+
+    Significant means p strictly below alpha, with a nonzero direction;
+    +1 means PC's errors ran larger, so RBFNN is better.
+    """
+    if result is None or result.p_value >= alpha or result.effect_direction == 0:
+        return "no_significant_difference"
+    return "RBFNN_better" if result.effect_direction > 0 else "PC_better"
 
 
 def run_comparison(config: ExperimentConfig, seed: int | None = None) -> ComparisonReport:
@@ -326,7 +333,6 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     err_pc = np.abs(test.targets - pc_pred)
     err_rbf = np.abs(test.targets - rbf_pred)
     t_res = w_res = None
-    verdict = NO_DIFFERENCE
     # Zero-spread differences carry no usable ranking or variance
     # information, so neither test is attempted.
     if np.ptp(err_pc - err_rbf) > 0.0:
@@ -334,7 +340,6 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
             t_res = paired_t_test(err_pc, err_rbf)
         # a nonzero spread leaves a nonzero difference, so this cannot raise
         w_res = wilcoxon_signed_rank(err_pc, err_rbf)
-        verdict = _VERDICTS[significance_verdict(t_res or w_res, config.alpha)]
 
     metadata = {
         "window_d": config.window_d,
@@ -351,7 +356,7 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     }
     return ComparisonReport(
         dataset=dataset, models=(pc_row, rbf_row),
-        t_test=t_res, wilcoxon=w_res, verdict=verdict,
+        t_test=t_res, wilcoxon=w_res, verdict=_verdict(t_res or w_res, config.alpha),
         degenerate=t_res is None, alpha=config.alpha, metadata=metadata,
     )
 
@@ -518,7 +523,7 @@ COMPARISON_REPORT_SCHEMA = {
             "required": ["paired_t", "wilcoxon"],
             "properties": {"paired_t": _TEST_SCHEMA, "wilcoxon": _TEST_SCHEMA},
         },
-        "verdict": {"enum": ["PC_better", "RBFNN_better", NO_DIFFERENCE]},
+        "verdict": {"enum": ["PC_better", "RBFNN_better", "no_significant_difference"]},
         "degenerate": {"type": "boolean"},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "metadata": {"type": "object"},

@@ -27,10 +27,6 @@ _CF_TINY = 1e-300
 # exact Wilcoxon path is taken up to this many nonzero differences
 EXACT_WILCOXON_LIMIT = 20
 
-A_BETTER = "A_better"
-B_BETTER = "B_better"
-NO_DIFFERENCE = "no_significant_difference"
-
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Lentz evaluation of the continued fraction for the incomplete beta."""
@@ -83,12 +79,10 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def student_t_sf(t: float, df: float) -> float:
     """Upper tail P(T > t) of Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ConfigError(f"degrees of freedom must be positive, got {df}")
+    if not 0 < df < math.inf:
+        raise ConfigError(f"degrees of freedom must be positive and finite, got {df}")
     if math.isnan(t):
         raise DataError("t statistic is NaN")
-    if t == 0.0:
-        return 0.5
     if t < 0.0:
         return 1.0 - student_t_sf(-t, df)
     x = df / (df + t * t)
@@ -222,16 +216,3 @@ def wilcoxon_signed_rank(a, b) -> PairedTestResult:
         effect_direction=direction, w_plus=w_plus, w_minus=w_minus,
     )
 
-
-def significance_verdict(result: PairedTestResult, alpha: float) -> str:
-    """Map a test result to A_better / B_better / no_significant_difference.
-
-    Significant means p strictly below alpha.  The winner is the side
-    with the smaller values (for error comparisons, the lower-error
-    model).
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if result.p_value >= alpha or result.effect_direction == 0:
-        return NO_DIFFERENCE
-    return B_BETTER if result.effect_direction > 0 else A_BETTER

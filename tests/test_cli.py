@@ -323,6 +323,26 @@ def test_unknown_flag_process_exits_2_with_one_line():
     assert r.stderr.startswith("config error")
 
 
+def test_library_warnings_print_one_line_each(tmp_path):
+    # the README series' sweep warns three times: CV(RMSE) of a negative
+    # mean at every degree (shown once), and rank deficiency at degrees 4 and 5
+    data = str(tmp_path / "s.csv")
+    assert run_cli("synth", "--kind", "seasonal", "--n", "240", "--noise-sd", "0.1",
+                   "--out", data).returncode == 0
+    r = run_cli("sweep", "--data", data, "--column", "v", "--degrees", "1..5")
+    assert r.returncode == 0
+    lines = r.stderr.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("warning: ") and ".py:" not in line for line in lines)
+    with pytest.warns(UserWarning):
+        want = render_report(run_degree_sweep(
+            ExperimentConfig(source=CsvSource(path=data, column="v"))))
+
+    def without_times(text):
+        return [line.split(" | ")[:1] + line.split(" | ")[2:] for line in text.splitlines()]
+    assert without_times(r.stdout) == without_times(want)
+
+
 @pytest.mark.parametrize("values, flags, stage", [
     ([1e120 * (1 + 0.01 * np.sin(i)) for i in range(120)], ["--degrees", "3"], "PC fit"),
     (None, ["--rbf-lr", "1e200"], "RBFNN training"),
@@ -371,10 +391,13 @@ def test_forecast_rejects_foreign_json(tmp_path, capsys):
     assert "neither" in capsys.readouterr().err
 
 
-def test_sweep_negative_column_is_exit_3(tmp_path, capsys):
-    data = seasonal_csv(tmp_path)
-    assert main(["sweep", "--data", data, "--column", "-5"]) == 3
-    assert "column index" in capsys.readouterr().err
+def test_negative_column_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # a value out of range; load_csv keeps its own check for library callers
+    monkeypatch.setattr(cli, "run_degree_sweep", refuse_work)
+    assert main(["sweep", "--data", seasonal_csv(tmp_path), "--column", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: bad value for column: index must be >= 0, got -1\n"
 
 
 def test_forecast_model_directory_is_exit_3(tmp_path, capsys):

@@ -107,6 +107,8 @@ def test_load_csv_unknown_column(tmp_path):
         load_csv(p, value_column="w")
     with pytest.raises(DataError):
         load_csv(p, value_column=7)
+    with pytest.raises(DataError, match="column index must be >= 0"):
+        load_csv(p, value_column=-1)
 
 
 def test_load_csv_named_column_needs_header(tmp_path):

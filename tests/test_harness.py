@@ -31,7 +31,7 @@ from lagcast.harness import (
 )
 from lagcast.metrics import MetricReport
 from lagcast.rbf import RbfTrainConfig
-from lagcast.stats import PairedTestResult
+from lagcast.stats import PairedTestResult, wilcoxon_signed_rank
 
 QUICK_RBF = RbfTrainConfig(units=8, batch_size=16, epochs=12,
                            learning_rate=0.02, seed=0)
@@ -134,8 +134,9 @@ def test_config_validation():
     for rbf_config in (RbfTrainConfig(seed=5), RbfTrainConfig(target_mse=0.1, max_units=8)):
         with pytest.raises(ConfigError, match="seeds sets the RBF seed.*one fixed network"):
             ExperimentConfig(source=src, rbf_config=rbf_config)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(source=src, alpha=1.5)
+    for alpha in (0.0, 1.0, 1.5):  # ExperimentConfig is the one check of alpha
+        with pytest.raises(ConfigError, match="alpha"):
+            ExperimentConfig(source=src, alpha=alpha)
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, train_fraction=1.0)
     for lam in (-0.1, float("nan"), float("inf")):
@@ -219,6 +220,26 @@ def test_comparison_constant_series_degenerates(tmp_path):
     assert report.t_test is None and report.wilcoxon is None
     assert "degenerate" in render_comparison(report, "markdown")
     jsonschema.validate(report.to_dict(), COMPARISON_REPORT_SCHEMA)
+
+
+def _tested(p, direction):
+    return PairedTestResult(method="paired_t", statistic=1.0, p_value=p,
+                            n_effective=10, effect_direction=direction)
+
+
+@pytest.mark.parametrize("result, alpha, want", [
+    (_tested(0.2, 1), 0.05, "no_significant_difference"),
+    (_tested(0.01, 1), 0.05, "RBFNN_better"),
+    (_tested(0.01, -1), 0.05, "PC_better"),
+    (_tested(0.05, 1), 0.05, "no_significant_difference"),
+    (_tested(0.001, 0), 0.05, "no_significant_difference"),
+    (wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0, -0.5], np.zeros(6)), 0.2, "RBFNN_better"),
+    (None, 0.05, "no_significant_difference"),
+], ids=["not-significant", "pc-errors-larger", "rbfnn-errors-larger", "alpha-is-strict",
+        "no-direction", "wilcoxon-decided", "no-test"])
+def test_verdict(result, alpha, want):
+    # effect_direction +1: PC's errors ran larger, so RBFNN is better
+    assert harness._verdict(result, alpha) == want
 
 
 def test_comparison_degenerate_t_test_takes_the_wilcoxon_verdict(monkeypatch):
