@@ -7,12 +7,13 @@ supplied through --config pointing at a flat "key = value" file; flags
 given on the command line win over the file; an option given neither
 way keeps the library's default unless _SPECS sets one.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 model
-fit or training error.
+Exit codes: 0 success, 2 configuration error (an unwritable --out or
+a closed stdout among them), 3 data error, 4 model fit or training error.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from . import polynomial as poly
 from . import rbf
 from .data import make_windows, read_model_document
-from .errors import ConfigError, DataError, FitError, UndefinedMetricError
+from .errors import ConfigError, DataError, FitError
 from .harness import (
     REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, render_report,
     resolve_source, run_comparison, run_comparison_suite, run_degree_sweep,
@@ -308,12 +309,21 @@ def main(argv: list[str] | None = None) -> int:
             command, texts = _parse_argv(argv)
             if texts is None:
                 print(_usage(_SPECS if command is None else [command]))
-                return 0
-            return _HANDLERS[command](_effective(command, texts))
+                code = 0
+            else:
+                code = _HANDLERS[command](_effective(command, texts))
+            sys.stdout.flush()  # a closed stdout fails here, not at the flush at exit
+            return code
+        except BrokenPipeError as exc:  # the reader of stdout has gone, as with | head
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())  # so the flush at exit has somewhere to go
+            os.close(null)
+            print(f"config error: cannot write stdout: {exc}", file=sys.stderr)
+            return 2
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except (DataError, UndefinedMetricError) as exc:
+        except DataError as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 3
         except FitError as exc:

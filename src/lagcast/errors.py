@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so raising the right class
-matters more than the message text.
+The CLI maps each of the three roots (ConfigError, DataError, FitError)
+onto its own exit code, so raising the right class matters more than
+the message text.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ class FitError(RuntimeError):
     """Model fitting or training failed."""
 
 
-class DegenerateSampleError(ValueError):
+class DegenerateSampleError(DataError):
     """Paired sample carries no usable signal for the requested test."""
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(DataError):
     """Metric is mathematically undefined for the given inputs."""

@@ -367,18 +367,15 @@ class ComparisonSuite:
 
     reports: tuple
 
-    @property
-    def median_summary(self) -> dict:
-        """Each model's median of each table field over the seeds."""
-        return {name: {k: float(np.median([_table_fields(r.models[idx])[k] for r in self.reports]))
-                       for k in _TABLE_FIELDS}
-                for idx, name in enumerate((PC, RBFNN))}
-
     def to_dict(self) -> dict:
+        reports = [r.to_dict() for r in self.reports]
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "reports": [r.to_dict() for r in self.reports],
-            "median_summary": self.median_summary,
+            "reports": reports,
+            # each model's median of each table field over the seeds
+            "median_summary": {name: {k: float(np.median([d["models"][idx][k] for d in reports]))
+                                      for k in _TABLE_FIELDS}
+                               for idx, name in enumerate((PC, RBFNN))},
         }
 
 
@@ -420,40 +417,40 @@ def _table(fmt: str, heads, rows, title: str = "", notes=()) -> str:
     return "\n".join(lines)
 
 
-def _test_line(label: str, t: PairedTestResult | None) -> str:
+def _test_line(label: str, t: dict | None) -> str:
     if t is None:
         return f"{label}: not available (degenerate sample)"
-    return (f"{label}: statistic={t.statistic:.4f}, p={t.p_value:.4f}, "
-            f"n={t.n_effective}")
+    return (f"{label}: statistic={t['statistic']:.4f}, p={t['p_value']:.4f}, "
+            f"n={t['n_effective']}")
 
 
-def _sweep_table(result: SweepResult, fmt: str) -> str:
+def _sweep_table(doc: dict, fmt: str) -> str:
     heads = (("Degree", "degree"),) + _FIELD_HEADS + (("Status", "error"),)
-    rows = [[str(r.detail["degree"]), *_cells(_table_fields(r)),
-             ("ok", "") if r.error is None else (f"failed: {r.error}", r.error)]
-            for r in result.rows]
-    return _table(fmt, heads, rows, f"### {result.dataset} (window d={result.window_d})")
+    rows = [[str(r["degree"]), *_cells(r),
+             ("ok", "") if r["error"] is None else (f"failed: {r['error']}", r["error"])]
+            for r in doc["rows"]]
+    return _table(fmt, heads, rows, f"### {doc['dataset']} (window d={doc['window_d']})")
 
 
-def _comparison_table(report: ComparisonReport, fmt: str) -> str:
-    rows = [[m.model, *_cells(_table_fields(m))] for m in report.models]
+def _comparison_table(doc: dict, fmt: str) -> str:
+    rows = [[m["model"], *_cells(m)] for m in doc["models"]]
     if fmt == "csv":
-        rows.append(["verdict", report.verdict, "", "", ""])
-    verdict = report.verdict + (" (degenerate sample)" if report.degenerate else "")
-    notes = [_test_line("Paired t-test", report.t_test),
-             _test_line("Wilcoxon signed-rank", report.wilcoxon),
+        rows.append(["verdict", doc["verdict"], "", "", ""])
+    verdict = doc["verdict"] + (" (degenerate sample)" if doc["degenerate"] else "")
+    notes = [_test_line("Paired t-test", doc["tests"]["paired_t"]),
+             _test_line("Wilcoxon signed-rank", doc["tests"]["wilcoxon"]),
              f"Verdict: {verdict}"]
-    return _table(fmt, _MODEL_HEADS, rows, f"### {report.dataset}", notes)
+    return _table(fmt, _MODEL_HEADS, rows, f"### {doc['dataset']}", notes)
 
 
-def _suite_table(suite: ComparisonSuite, fmt: str) -> str:
+def _suite_table(doc: dict, fmt: str) -> str:
     if fmt == "csv":
         heads = (("Seed", "seed"),) + _MODEL_HEADS + (("Verdict", "verdict"),)
-        rows = [[str(r.metadata["seed"]), m.model, *_cells(_table_fields(m)), r.verdict]
-                for r in suite.reports for m in r.models]
+        rows = [[str(r["metadata"]["seed"]), m["model"], *_cells(m), r["verdict"]]
+                for r in doc["reports"] for m in r["models"]]
         return _table(fmt, heads, rows)
-    median = [[name, *_cells(suite.median_summary[name])] for name in (PC, RBFNN)]
-    parts = [_comparison_table(r, fmt) for r in suite.reports]
+    median = [[name, *_cells(row)] for name, row in doc["median_summary"].items()]
+    parts = [_comparison_table(r, fmt) for r in doc["reports"]]
     return "\n\n".join(parts + [_table(fmt, _MODEL_HEADS, median, "## Median over seeds")])
 
 
@@ -462,15 +459,16 @@ _TABLES = {SweepResult: _sweep_table, ComparisonReport: _comparison_table,
 
 
 def render_report(obj, fmt: str = "markdown") -> str:
-    """Render a sweep, comparison or suite in markdown, csv or json."""
+    """Render a sweep, comparison or suite's to_dict() document as markdown, csv or json."""
     table = _TABLES.get(type(obj))
     if table is None:
         raise ConfigError(f"cannot render object of type {type(obj).__name__}")
     if fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
+    doc = obj.to_dict()
     if fmt == "json":
-        return json.dumps(obj.to_dict(), indent=2)
-    return table(obj, fmt)
+        return json.dumps(doc, indent=2)
+    return table(doc, fmt)
 
 
 render_comparison = render_report  # the older name, which the acceptance tests import

@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from lagcast import cli, polynomial as poly
+from lagcast import cli, errors, polynomial as poly
 from lagcast import rbf
 from lagcast.cli import main
 from lagcast.data import TimeSeries, load_csv, make_windows
@@ -368,6 +369,51 @@ def test_diverging_rbf_fit_process_exits_4_with_one_line(tmp_path):
     assert r.returncode == 4
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("fit error: comparison aborted at stage 'RBFNN training': ")
+
+
+# each exit code's exception root, and the prefix of its one stderr line
+_ERROR_ROOTS = {errors.ConfigError: (2, "config error"), errors.DataError: (3, "data error"),
+                errors.FitError: (4, "fit error")}
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values() if isinstance(c, type)
+                                 and issubclass(c, Exception)
+                                 and c.__module__ == errors.__name__],
+                         ids=lambda c: c.__name__)
+def test_each_error_class_has_one_exit_code(cls, capsys, monkeypatch):
+    roots = [root for root in _ERROR_ROOTS if issubclass(cls, root)]
+    assert len(roots) == 1
+    code, prefix = _ERROR_ROOTS[roots[0]]
+
+    def handler(groups):
+        raise cls("boom")
+    monkeypatch.setitem(cli._HANDLERS, "sweep", handler)
+    assert main(["sweep", "--data", "series.csv"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["sweep", "--column", "v"],
+    ["compare", "--column", "v", "--seeds", "0..3", "--format", "markdown",
+     "--rbf-units", "8", "--rbf-epochs", "5", "--rbf-batch", "16", "--rbf-lr", "0.01"],
+], ids=["help", "sweep", "compare-suite"])
+def test_closed_stdout_is_exit_2_with_one_line(tmp_path, argv):
+    if argv[0] != "--help":
+        argv = [argv[0], "--data", seasonal_csv(tmp_path), *argv[1:]]
+    # the child spends its first 100 ms or more importing, so the read
+    # end is closed before lagcast writes anything; stdout keeps its
+    # default buffering, so the last write can wait for the flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "lagcast", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: cannot write stdout: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_missing_data_file_is_exit_3(capsys):

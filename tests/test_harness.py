@@ -278,7 +278,7 @@ def test_suite_reports_and_median():
     suite = run_comparison_suite(cfg)
     assert len(suite.reports) == 3
     maes = sorted(r.models[1].metrics.mae for r in suite.reports)
-    assert suite.median_summary["RBFNN"]["mae"] == pytest.approx(maes[1])
+    assert suite.to_dict()["median_summary"]["RBFNN"]["mae"] == pytest.approx(maes[1])
     jsonschema.validate(suite.to_dict(), COMPARISON_SUITE_SCHEMA)
 
 
@@ -392,6 +392,16 @@ _FIXTURES = {"sweep": fixture_sweep, "comparison": fixture_report, "suite": fixt
 @pytest.mark.parametrize("kind, fmt", sorted(GOLDEN_TEXT))
 def test_golden_text(kind, fmt):
     assert render_report(_FIXTURES[kind](), fmt) == GOLDEN_TEXT[kind, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+@pytest.mark.parametrize("kind", sorted(_FIXTURES))
+def test_tables_render_from_the_json_document(kind, fmt):
+    # nothing reaches a table that the JSON lacks, and every number
+    # survives the JSON text
+    obj = _FIXTURES[kind]()
+    doc = json.loads(render_report(obj, "json"))
+    assert harness._TABLES[type(obj)](doc, fmt) == render_report(obj, fmt)
 
 
 def test_markdown_fixture_row():
