@@ -241,25 +241,26 @@ def _emit(text: str, out: str | None):
         _write(out, text + "\n")
 
 
-def _cmd_synth(g: dict) -> int:
+def _write_series(path: str, header: str, start: int, values, noun: str):
+    """A two-column CSV: the header, then one 'index,value' row per value from start."""
+    lines = [header] + [f"{i},{float(v)!r}" for i, v in enumerate(values, start)]
+    _write(path, "\n".join(lines) + "\n")
+    print(f"wrote {len(values)} {noun} to {path}")
+
+
+def _cmd_synth(g: dict):
     series = resolve_source(SynthSource(**g["synth"], params=g["gen"]))
-    out = g["cli"]["out"]
-    lines = ["t,v"] + [f"{i},{float(val)!r}" for i, val in enumerate(series.values)]
-    _write(out, "\n".join(lines) + "\n")
-    print(f"wrote {len(series)} points to {out}")
-    return 0
+    _write_series(g["cli"]["out"], "t,v", 0, series.values, "points")
 
 
-def _cmd_sweep(g: dict) -> int:
+def _cmd_sweep(g: dict):
     result = run_degree_sweep(ExperimentConfig(source=CsvSource(**g["csv"]), **g["exp"]))
     _emit(render_report(result, g["cli"]["format"]), g["cli"].get("out"))
     if all(r.error is not None for r in result.rows):
-        print("every degree failed to fit", file=sys.stderr)
-        return 4
-    return 0
+        raise FitError("every degree failed to fit")
 
 
-def _cmd_compare(g: dict) -> int:
+def _cmd_compare(g: dict):
     config = ExperimentConfig(source=CsvSource(**g["csv"]),
                               rbf_config=RbfTrainConfig(**g["rbf"]), **g["exp"])
     if len(config.seeds) == 1:
@@ -267,10 +268,9 @@ def _cmd_compare(g: dict) -> int:
     else:
         result = run_comparison_suite(config)
     _emit(render_report(result, g["cli"]["format"]), g["cli"].get("out"))
-    return 0
 
 
-def _cmd_forecast(g: dict) -> int:
+def _cmd_forecast(g: dict):
     v = g["cli"]
     try:
         text = Path(v["model"]).read_text()
@@ -286,11 +286,7 @@ def _cmd_forecast(g: dict) -> int:
             preds = poly.rolling_forecast(model, windows)
     if not np.all(np.isfinite(preds)):
         raise DataError(f"{v['model']} gives non-finite forecasts on this series")
-    lines = ["index,prediction"]
-    lines += [f"{i + windows.window_d},{float(p)!r}" for i, p in enumerate(preds)]
-    _write(v["out"], "\n".join(lines) + "\n")
-    print(f"wrote {len(preds)} predictions to {v['out']}")
-    return 0
+    _write_series(v["out"], "index,prediction", windows.window_d, preds, "predictions")
 
 
 _HANDLERS = {
@@ -306,14 +302,14 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():  # one line per warning; the filters still decide which
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            command, texts = _parse_argv(argv)
-            if texts is None:
-                print(_usage(_SPECS if command is None else [command]))
-                code = 0
-            else:
-                code = _HANDLERS[command](_effective(command, texts))
-            sys.stdout.flush()  # a closed stdout fails here, not at the flush at exit
-            return code
+            try:
+                command, texts = _parse_argv(argv)
+                if texts is None:
+                    print(_usage(_SPECS if command is None else [command]))
+                else:
+                    _HANDLERS[command](_effective(command, texts))
+            finally:
+                sys.stdout.flush()  # a closed stdout fails here, not at the flush at exit
         except BrokenPipeError as exc:  # the reader of stdout has gone, as with | head
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())  # so the flush at exit has somewhere to go
@@ -329,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         except FitError as exc:
             print(f"fit error: {exc}", file=sys.stderr)
             return 4
+        return 0
 
 
 if __name__ == "__main__":

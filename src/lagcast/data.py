@@ -278,7 +278,7 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
     """
     coeffs = [float(c) for c in coeffs]
     if not coeffs:
-        raise ConfigError("coeffs must not be empty")
+        raise ConfigError("coeffs must be non-empty")
     _check_common(n, seed, noise_sd, coeffs=coeffs)
     p = len(coeffs)
     if n <= p:

@@ -120,17 +120,11 @@ class TrainTrace:
     epoch_mse: np.ndarray
     final_units: int
     stop_reason: str  # "epochs", "target_mse" or "max_units"
-    rounds: int = 1
+    best_mse: float  # the returned network's training MSE
 
     @property
     def epochs_run(self) -> int:
         return int(self.epoch_mse.size)
-
-    @property
-    def best_mse(self) -> float:
-        """The returned network's training MSE: the best epoch of the last of
-        `rounds` equal-length rounds (a grown fit returns the last round's net)."""
-        return float(np.min(self.epoch_mse[-(self.epoch_mse.size // self.rounds):]))
 
 
 def _check_inputs(inputs: np.ndarray) -> np.ndarray:
@@ -456,7 +450,8 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
                 best_params[...] = params
 
     net = replace(net, out_weights=best_params[:m], bias=float(best_params[m]))
-    return net, TrainTrace(epoch_mse=history, final_units=m, stop_reason="epochs")
+    return net, TrainTrace(epoch_mse=history, final_units=m, stop_reason="epochs",
+                           best_mse=best_mse)
 
 
 def _input_scale(inputs: np.ndarray) -> float:
@@ -483,8 +478,8 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
     checks the best epoch MSE against target_mse.  While above target
     and under max_units, a new center is placed on the training window
     with the largest absolute residual (lowest row index on ties).
-    The trace concatenates every round's epochs, counts the rounds and
-    names the stop condition that fired.  A config without growth
+    The trace concatenates every round's epochs, keeps the last round's
+    best_mse and names the stop condition that fired.  A config without growth
     settings (RbfTrainConfig only allows them as a pair) is a ConfigError.
     """
     if config.target_mse is None:
@@ -510,7 +505,7 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
         centers = np.vstack([centers, inputs[int(np.argmax(residuals))]])
 
     return net, TrainTrace(epoch_mse=np.concatenate(history), final_units=net.n_units,
-                           stop_reason=reason, rounds=len(history))
+                           stop_reason=reason, best_mse=trace.best_mse)
 
 
 def to_json(net: RbfNetwork) -> str:

@@ -121,15 +121,25 @@ def test_sweep_lambda_alias(tmp_path, capsys):
         capsys.readouterr()
 
 
+def all_failed_csv(tmp_path):
+    """30 points from 1e80: at d = 2, degrees 5 and 6 both fail to fit."""
+    return write_series(tmp_path / "big.csv", [1e80 + i * 1e70 for i in range(30)])
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_sweep_all_degrees_failed_is_exit_4(tmp_path, capsys):
-    data = write_series(tmp_path / "big.csv",
-                        [1e80 + i * 1e70 for i in range(30)])
+    data = all_failed_csv(tmp_path)
     code = main(["sweep", "--data", data, "--column", "v", "--window", "2",
                  "--degrees", "5,6"])
     captured = capsys.readouterr()
     assert code == 4
-    assert "every degree failed" in captured.err
+    lines = [line for line in captured.err.splitlines() if not line.startswith("warning: ")]
+    assert lines == ["fit error: every degree failed to fit"]
+    # the table comes first; a failed row has no time, so it is reproducible
+    result = run_degree_sweep(ExperimentConfig(source=CsvSource(path=data, column="v"),
+                                               window_d=2, degrees=(5, 6)))
+    assert all(r.error is not None for r in result.rows)
+    assert captured.out == render_report(result, "markdown") + "\n"
 
 
 def overflow_csv(tmp_path):
@@ -225,6 +235,9 @@ def refuse_work(*args, **kwargs):
     ["sweep", "--col", "v"],
     ["compare", "--seed", "3"],
     ["sweep", "stray"],
+    ["sweep", "--no-header", "maybe"],
+    ["sweep", "--degrees", "5..1"],
+    ["sweep", "--config", "/nonexistent/run.cfg"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
         "sweep-huge-degree-range", "compare-huge-seed-range",
         "compare-target-mse-only", "compare-max-units-only", "compare-negative-seed",
@@ -232,7 +245,8 @@ def refuse_work(*args, **kwargs):
         "compare-repeated-seed", "unknown-option",
         "unknown-command", "no-command", "option-missing-value",
         "abbreviated-degrees", "abbreviated-column", "abbreviated-seeds",
-        "stray-token"])
+        "stray-token", "no-header-not-a-boolean", "empty-degree-range",
+        "missing-config-file"])
 def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
     for name in ("run_comparison", "run_comparison_suite", "run_degree_sweep"):
         monkeypatch.setattr(cli, name, refuse_work)
@@ -278,8 +292,11 @@ def test_synth_parameter_of_another_kind_is_exit_2(tmp_path, capsys):
     (["--kind", "seasonal", "--amplitude", "nan"], "amplitude"),
     (["--kind", "walk", "--seed", "-1"], "seed"),
     (["--kind", "walk", "--seed", str(2**64)], "seed"),
+    (["--kind", "seasonal", "--period", "0"], "period"),
+    (["--kind", "ar", "--coeffs", ","], "coeffs"),
 ], ids=["ar-nan-coeff", "walk-nan-drift", "seasonal-inf-trend", "walk-nan-noise-sd",
-        "seasonal-nan-amplitude", "negative-seed", "seed-2-to-the-64"])
+        "seasonal-nan-amplitude", "negative-seed", "seed-2-to-the-64", "seasonal-zero-period",
+        "ar-no-coeffs"])
 def test_synth_bad_parameter_is_exit_2(tmp_path, capsys, argv, name):
     out = tmp_path / "s.csv"
     code = main(["synth", *argv, "--n", "50", "--out", str(out)])
@@ -392,15 +409,17 @@ def test_each_error_class_has_one_exit_code(cls, capsys, monkeypatch):
     assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--help"],
-    ["sweep", "--column", "v"],
-    ["compare", "--column", "v", "--seeds", "0..3", "--format", "markdown",
-     "--rbf-units", "8", "--rbf-epochs", "5", "--rbf-batch", "16", "--rbf-lr", "0.01"],
-], ids=["help", "sweep", "compare-suite"])
-def test_closed_stdout_is_exit_2_with_one_line(tmp_path, argv):
-    if argv[0] != "--help":
-        argv = [argv[0], "--data", seasonal_csv(tmp_path), *argv[1:]]
+@pytest.mark.parametrize("series, argv", [
+    (None, ["--help"]),
+    (seasonal_csv, ["sweep", "--column", "v"]),
+    (seasonal_csv, ["compare", "--column", "v", "--seeds", "0..3", "--format", "markdown",
+                    "--rbf-units", "8", "--rbf-epochs", "5", "--rbf-batch", "16",
+                    "--rbf-lr", "0.01"]),
+    (all_failed_csv, ["sweep", "--column", "v", "--window", "2", "--degrees", "5,6"]),
+], ids=["help", "sweep", "compare-suite", "sweep-all-failed"])
+def test_closed_stdout_is_exit_2_with_one_line(tmp_path, series, argv):
+    if series is not None:
+        argv = [argv[0], "--data", series(tmp_path), *argv[1:]]
     # the child spends its first 100 ms or more importing, so the read
     # end is closed before lagcast writes anything; stdout keeps its
     # default buffering, so the last write can wait for the flush at exit
@@ -701,6 +720,19 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert len(out.splitlines()) == 3
 
 
+def test_config_comment_and_blank_lines_run_like_flags(tmp_path, capsys):
+    data = seasonal_csv(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a sweep of the seasonal series\n\ndata = {data}\n"
+                   "   # two degrees only\ndegrees = 1,2\n\nformat = csv\n")
+    flags = ["--data", data, "--degrees", "1,2", "--format", "csv"]
+    assert (cli._effective(*cli._parse_argv(["sweep", "--config", str(cfg)]))
+            == cli._effective(*cli._parse_argv(["sweep", *flags])))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["degree", "1", "2"]
+
+
 def test_explicit_flag_beats_config_file(tmp_path, capsys):
     data = seasonal_csv(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -736,6 +768,15 @@ def test_compare_markdown_single_seed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Model | Execution Time (s) | MAE | RMSE | CV(RMSE) (%)" in out
     assert "Verdict:" in out
+
+
+def test_compare_one_rbf_unit(tmp_path, capsys):
+    # one center takes set_widths' scale branch; the general path would
+    # average an empty slice, whose RuntimeWarning tier-1 makes an error
+    assert main(["compare", "--data", seasonal_csv(tmp_path), "--column", "v",
+                 "--rbf-units", "1", "--rbf-epochs", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["models"][1]["detail"]["units"] == 1
 
 
 def test_compare_multi_seed_emits_suite(tmp_path, capsys):

@@ -40,6 +40,11 @@ def test_timeseries_rejects_inf():
         series([1.0, float("inf")])
 
 
+def test_timeseries_rejects_2d():
+    with pytest.raises(DataError, match="non-empty 1-D array"):
+        series([[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_timeseries_len():
     assert len(series([1, 2, 3])) == 3
 

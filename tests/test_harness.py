@@ -106,6 +106,11 @@ def test_resolve_parameter_of_another_kind():
         resolve_source(SynthSource("ar", 30, params={"n": 40}))
 
 
+def test_resolve_unknown_source_type():
+    with pytest.raises(ConfigError, match="unknown data source type dict"):
+        resolve_source({"kind": "walk", "n": 30})
+
+
 def test_resolve_csv(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("v\n1.0\n2.0\n3.0\n")

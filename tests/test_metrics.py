@@ -137,6 +137,11 @@ def test_empty_is_an_error():
             f([], [])
 
 
+def test_2d_is_an_error():
+    with pytest.raises(DataError, match="1-D vectors"):
+        mae([[1.0, 2.0]], [[1.0, 2.0]])
+
+
 def test_nonfinite_is_an_error():
     with pytest.raises(DataError):
         mae([np.nan], [1.0])

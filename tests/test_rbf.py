@@ -219,6 +219,10 @@ def test_widths_duplicate_centers_use_scale_hint():
     assert np.allclose(w, 2.5)
 
 
+def test_widths_single_center_is_the_scale():
+    assert set_widths(np.array([[1.0, 2.0]]), 2.5).tolist() == [2.5]
+
+
 def test_widths_validation():
     with pytest.raises(DataError):
         set_widths(np.zeros((0, 2)), 1.0)
@@ -351,6 +355,12 @@ def test_network_validation():
     with pytest.raises(DataError, match=r"non-empty \(M, d\)"):
         RbfNetwork(centers=np.zeros((2, 0)), widths=np.ones(2),
                    out_weights=np.array([1.0, 2.0]), bias=0.5)
+    with pytest.raises(DataError, match="out_weights and bias must be finite"):
+        RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(2),
+                   out_weights=np.array([1.0, np.nan]), bias=0.0)
+    with pytest.raises(DataError, match="out_weights and bias must be finite"):
+        RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(2),
+                   out_weights=np.zeros(2), bias=np.inf)
 
 
 # ------------------------------------------------------------------ training
@@ -435,7 +445,9 @@ def test_train_diverging_rate_is_a_fit_error():
     (np.array([[0.0, 0.0], [np.nan, 1.0]]), np.ones(2)),
     (np.zeros((2, 2)), np.array([1.0, -1.0])),
     (np.zeros((2, 2)), np.ones(3)),
-], ids=["zero-widths", "nan-center", "negative-width", "wrong-length-widths"])
+    (np.zeros((2, 3)), np.ones(2)),
+], ids=["zero-widths", "nan-center", "negative-width", "wrong-length-widths",
+        "centers-of-another-window"])
 def test_train_checks_the_hidden_layer_before_any_step(monkeypatch, centers, widths):
     def no_step(*args):
         raise AssertionError("an RMSprop step ran on a bad hidden layer")
@@ -445,6 +457,43 @@ def test_train_checks_the_hidden_layer_before_any_step(monkeypatch, centers, wid
     cfg = RbfTrainConfig(units=2, epochs=5, learning_rate=0.01)
     with pytest.raises(DataError):
         train(rng.standard_normal((20, 2)), rng.standard_normal(20), centers, widths, cfg)
+
+
+_X = np.random.default_rng(3).standard_normal((20, 2))
+_Y = np.random.default_rng(4).standard_normal(20)
+
+
+def with_nan(a, index):
+    a = a.copy()
+    a[index] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("inputs, message", [
+    (_X[:, 0], r"non-empty \(N, d\) array"),
+    (with_nan(_X, (3, 1)), "training data must be finite"),
+], ids=["1-d-inputs", "nan-input"])
+def test_training_refuses_bad_inputs(inputs, message):
+    cfg = RbfTrainConfig(units=2, epochs=2)
+    with pytest.raises(DataError, match=message):
+        fit_fixed(inputs, _Y, cfg)
+    with pytest.raises(DataError, match=message):
+        init_centers(inputs, 2, seed=0)
+    with pytest.raises(DataError, match=message):
+        train(inputs, _Y, np.zeros((2, 2)), np.ones(2), cfg)
+
+
+@pytest.mark.parametrize("targets, message", [
+    (_Y[:-1], "one entry per input row"),
+    (with_nan(_Y, 5), "training data must be finite"),
+], ids=["short-targets", "nan-target"])
+def test_training_refuses_bad_targets(targets, message):
+    cfg = RbfTrainConfig(units=2, epochs=2)
+    with pytest.raises(DataError, match=message):
+        fit_fixed(_X, targets, cfg)
+    with pytest.raises(DataError, match=message):
+        train(_X, targets, np.zeros((2, 2)), np.ones(2), cfg)
+
 
 def out_of_place_train(inputs, targets, centers, widths, config):
     """train() as a copy-per-step loop: concatenated gradient, then
@@ -474,12 +523,13 @@ def out_of_place_train(inputs, targets, centers, widths, config):
     net = RbfNetwork(centers=centers, widths=widths, out_weights=best[:m],
                      bias=float(best[m]))
     return net, TrainTrace(epoch_mse=np.array(history),
-                           final_units=m, stop_reason="epochs")
+                           final_units=m, stop_reason="epochs", best_mse=best_mse)
 
 
 def assert_same_bits(got, want):
     (net, trace), (ref_net, ref_trace) = got, want
     assert trace.epoch_mse.tobytes() == ref_trace.epoch_mse.tobytes()
+    assert np.float64(trace.best_mse).tobytes() == np.float64(ref_trace.best_mse).tobytes()
     assert net.out_weights.tobytes() == ref_net.out_weights.tobytes()
     assert np.float64(net.bias).tobytes() == np.float64(ref_net.bias).tobytes()
 
@@ -616,7 +666,7 @@ def test_grow_best_mse_is_the_returned_networks():
     cfg = RbfTrainConfig(units=4, batch_size=16, epochs=10, learning_rate=0.02, seed=0,
                          target_mse=1e-9, max_units=8)
     net, trace = grow_until_target(data.inputs, data.targets, cfg)
-    assert trace.rounds > 1 and trace.epochs_run == 10 * trace.rounds
+    assert trace.epochs_run > 10 and trace.epochs_run % 10 == 0
     mse = float(np.mean((batch_forward(net, data.inputs) - data.targets) ** 2))
     assert trace.best_mse == mse
     assert trace.best_mse > float(np.min(trace.epoch_mse))
