@@ -18,14 +18,12 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import polynomial as poly
 from . import rbf
 from .data import make_windows, read_model_document
 from .errors import ConfigError, DataError, FitError
 from .harness import (
-    REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, render_report,
+    REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, _forecast, render_report,
     resolve_source, run_comparison, run_comparison_suite, run_degree_sweep,
 )
 from .rbf import RbfTrainConfig
@@ -279,13 +277,8 @@ def _cmd_forecast(g: dict):
     kind, fields = read_model_document(text)
     model = (rbf if kind == "an RBF" else poly).from_document(fields)
     windows = make_windows(resolve_source(CsvSource(**g["csv"])), int(fields["d"]))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as the DataError below
-        if kind == "an RBF":
-            preds = rbf.batch_forward(model, windows.inputs)
-        else:
-            preds = poly.rolling_forecast(model, windows)
-    if not np.all(np.isfinite(preds)):
-        raise DataError(f"{v['model']} gives non-finite forecasts on this series")
+    preds = _forecast(model, windows,
+                      DataError(f"{v['model']} gives non-finite forecasts on this series"))
     _write_series(v["out"], "index,prediction", windows.window_d, preds, "predictions")
 
 

@@ -177,8 +177,8 @@ class ModelRow:
     """One row of the paper's table: a compared model, or one degree of a sweep."""
 
     model: str
-    exec_seconds: float | None  # None, as are metrics, on a failed sweep degree
-    metrics: MetricReport | None
+    exec_seconds: float | None = None  # None, as are metrics, on a failed sweep degree
+    metrics: MetricReport | None = None
     detail: dict = field(default_factory=dict)
     error: str | None = None  # a sweep degree's failure; a comparison aborts instead
 
@@ -208,24 +208,38 @@ def _split(config: ExperimentConfig) -> tuple[str, WindowedDataset, WindowedData
     return (series.name, *windowed_split(series, config.window_d, config.train_fraction))
 
 
-def _pc_run(train: WindowedDataset, test: WindowedDataset, degree: int,
-            ridge_lambda: float) -> tuple[ModelRow, np.ndarray]:
-    """PC's row and test forecasts.  Execution Time covers the fit, the
-    forecasts and their overflow check; the scoring follows the stopwatch."""
-    def job() -> np.ndarray:
-        model = poly.fit(train, degree, ridge_lambda)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as the FitError below
-            pred = poly.rolling_forecast(model, test)
-        if not np.all(np.isfinite(pred)):
-            raise FitError(f"degree {degree} forecasts overflow on the test windows; "
-                           "rescale the series or lower the degree")
-        return pred
+def _forecast(model, windows: WindowedDataset, failure: Exception) -> np.ndarray:
+    """A fitted PC or RBFNN model's forecast of every window.  A forecast
+    that is not finite raises failure, without numpy's overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, rbf.RbfNetwork):
+            pred = rbf.batch_forward(model, windows.inputs)
+        else:
+            pred = poly.rolling_forecast(model, windows)
+    if not np.all(np.isfinite(pred)):
+        raise failure
+    return pred
+
+
+def _run(name: str, fit, test: WindowedDataset, failure: FitError) -> tuple[ModelRow, np.ndarray]:
+    """A model's row and test forecasts; fit() returns the model and the row's
+    detail.  Execution Time covers the fit and _forecast, not the scoring."""
+    def job() -> tuple[np.ndarray, dict]:
+        model, detail = fit()
+        return _forecast(model, test, failure), detail
 
     run = timed(job)
-    row = ModelRow(model=PC, exec_seconds=run.seconds,
-                   metrics=metric_report(test.targets, run.value),
-                   detail={"degree": degree, "ridge_lambda": ridge_lambda})
-    return row, run.value
+    pred, detail = run.value
+    return ModelRow(model=name, exec_seconds=run.seconds,
+                    metrics=metric_report(test.targets, pred), detail=detail), pred
+
+
+def _pc(train: WindowedDataset, test: WindowedDataset, detail: dict) -> tuple[ModelRow, np.ndarray]:
+    """PC's run at its row detail's degree and ridge_lambda."""
+    degree = detail["degree"]
+    return _run(PC, lambda: (poly.fit(train, degree, detail["ridge_lambda"]), detail), test,
+                FitError(f"degree {degree} forecasts overflow on the test windows; "
+                         "rescale the series or lower the degree"))
 
 
 def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
@@ -237,11 +251,11 @@ def run_degree_sweep(config: ExperimentConfig) -> SweepResult:
     dataset, train, test = _split(config)
     rows = []
     for degree in config.degrees:
+        detail = {"degree": degree, "ridge_lambda": config.ridge_lambda}
         try:
-            rows.append(_pc_run(train, test, degree, config.ridge_lambda)[0])
+            rows.append(_pc(train, test, detail)[0])
         except (ConfigError, FitError, UndefinedMetricError) as exc:
-            rows.append(ModelRow(model=PC, exec_seconds=None, metrics=None, error=str(exc),
-                                 detail={"degree": degree, "ridge_lambda": config.ridge_lambda}))
+            rows.append(ModelRow(model=PC, detail=detail, error=str(exc)))
     return SweepResult(dataset=dataset, window_d=config.window_d,
                        ridge_lambda=config.ridge_lambda, rows=tuple(rows))
 
@@ -305,30 +319,23 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     rbf_cfg = replace(config.rbf_config, seed=int(config.seeds[0] if seed is None else seed))
     degree = int(min(config.degrees))
 
-    def stage(name: str, job):
-        try:
-            return job()
-        except FitError as exc:
-            raise FitError(f"comparison aborted at stage '{name}': {exc}") from exc
-
-    pc_row, pc_pred = stage("PC fit", lambda: _pc_run(train, test, degree, config.ridge_lambda))
-
-    def rbf_job() -> tuple[rbf.TrainTrace, np.ndarray]:
+    def rbf_fit() -> tuple[rbf.RbfNetwork, dict]:
         net, trace = rbf.fit_fixed(train.inputs, train.targets, rbf_cfg)
-        return trace, rbf.batch_forward(net, test.inputs)
-
-    rbf_run = stage("RBFNN training", lambda: timed(rbf_job))
-    trace, rbf_pred = rbf_run.value
-    rbf_row = ModelRow(
-        model=RBFNN, exec_seconds=rbf_run.seconds,
-        metrics=metric_report(test.targets, rbf_pred),
-        detail={
+        return net, {
             "units": trace.final_units, "epochs": trace.epochs_run,
             "learning_rate": rbf_cfg.learning_rate, "batch_size": rbf_cfg.batch_size,
             "seed": rbf_cfg.seed,
             "stop_reason": trace.stop_reason, "train_mse": trace.best_mse,
-        },
-    )
+        }
+
+    stage = "PC fit"
+    try:
+        pc_row, pc_pred = _pc(train, test, {"degree": degree, "ridge_lambda": config.ridge_lambda})
+        stage = "RBFNN training"
+        rbf_row, rbf_pred = _run(RBFNN, rbf_fit, test,
+                                 FitError("RBFNN forecasts overflow on the test windows"))
+    except FitError as exc:
+        raise FitError(f"comparison aborted at stage '{stage}': {exc}") from exc
 
     err_pc = np.abs(test.targets - pc_pred)
     err_rbf = np.abs(test.targets - rbf_pred)

@@ -361,11 +361,15 @@ def test_library_warnings_print_one_line_each(tmp_path):
     assert without_times(r.stdout) == without_times(want)
 
 
-@pytest.mark.parametrize("values, flags, stage", [
-    ([1e120 * (1 + 0.01 * np.sin(i)) for i in range(120)], ["--degrees", "3"], "PC fit"),
-    (None, ["--rbf-lr", "1e200"], "RBFNN training"),
-], ids=["pc-design-overflow", "rbf-loss-non-finite"])
-def test_fit_failure_is_exit_4(tmp_path, capsys, values, flags, stage):
+@pytest.mark.parametrize("values, flags, stage, forward", [
+    ([1e120 * (1 + 0.01 * np.sin(i)) for i in range(120)], ["--degrees", "3"], "PC fit", None),
+    (None, ["--rbf-lr", "1e200"], "RBFNN training", None),
+    # no real fit gets this far, as training fails first; the patch stands in
+    (None, [], "RBFNN training", lambda net, inputs: np.full(len(inputs), np.inf)),
+], ids=["pc-design-overflow", "rbf-loss-non-finite", "rbf-forecast-non-finite"])
+def test_fit_failure_is_exit_4(tmp_path, capsys, monkeypatch, values, flags, stage, forward):
+    if forward is not None:
+        monkeypatch.setattr(rbf, "batch_forward", forward)
     data = (seasonal_csv(tmp_path) if values is None
             else write_series(tmp_path / "huge.csv", values))
     out = tmp_path / "report.json"

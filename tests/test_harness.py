@@ -1,15 +1,17 @@
 """Experiment orchestration, report rendering and the report schemas."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+from lagcast.cli import main
 from lagcast.data import TimeSeries, make_windows
-from lagcast import harness
-from lagcast.errors import ConfigError, DataError, DegenerateSampleError
+from lagcast import harness, polynomial as poly, rbf
+from lagcast.errors import ConfigError, DataError, DegenerateSampleError, FitError
 from lagcast.harness import (
     COMPARISON_REPORT_SCHEMA,
     COMPARISON_SUITE_SCHEMA,
@@ -294,6 +296,51 @@ def test_sweep_degree_row_is_the_comparison_pc_row():
     assert sweep_row.detail == pc_row.detail == {"degree": 1, "ridge_lambda": 0.0}
     assert sweep_row.metrics == pc_row.metrics
     assert sweep_row.model == pc_row.model == "PC" and sweep_row.error is None
+
+
+def test_comparison_non_finite_rbf_forecasts_abort_at_the_rbf_stage(monkeypatch):
+    # no real fit gets this far, as training fails first; the patch stands in
+    monkeypatch.setattr(rbf, "batch_forward", lambda net, inputs: np.full(len(inputs), np.inf))
+    with pytest.raises(FitError) as failure:
+        run_comparison(seasonal_config())
+    assert str(failure.value) == ("comparison aborted at stage 'RBFNN training': "
+                                  "RBFNN forecasts overflow on the test windows")
+
+
+def test_model_functions_are_looked_up_at_call_time(monkeypatch, tmp_path):
+    # perfbench's tracer replaces these module attributes after import, as
+    # here; a call through a reference taken at import would escape it
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(poly, "fit"), (poly, "rolling_forecast"),
+                         (rbf, "fit_fixed"), (rbf, "batch_forward")]:
+        count(module, name)
+
+    run_degree_sweep(seasonal_config(degrees=(1, 2)))
+    assert counts == {"fit": 2, "rolling_forecast": 2}
+    counts.clear()
+    run_comparison(seasonal_config())
+    assert counts == {"fit": 1, "rolling_forecast": 1, "fit_fixed": 1, "batch_forward": 1}
+
+    series = resolve_source(seasonal_config().source)
+    data = tmp_path / "series.csv"
+    data.write_text("v\n" + "\n".join(map(repr, series.values.tolist())) + "\n")
+    windows = make_windows(series, 6)
+    poly.save(poly.fit(windows, 1), tmp_path / "poly.json")
+    rbf.save(rbf.fit_fixed(windows.inputs, windows.targets, QUICK_RBF)[0], tmp_path / "rbf.json")
+    for kind, forecast in [("poly", "rolling_forecast"), ("rbf", "batch_forward")]:
+        counts.clear()
+        assert main(["forecast", "--model", str(tmp_path / f"{kind}.json"), "--data", str(data),
+                     "--column", "v", "--out", str(tmp_path / f"{kind}.csv")]) == 0
+        assert counts == {forecast: 1}
 
 
 # ----------------------------------------------------------------- rendering
