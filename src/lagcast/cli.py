@@ -5,7 +5,10 @@ the polynomial degree sweep, compare runs the PC vs RBFNN head-to-head,
 and forecast applies a saved model to a series.  Every flag can also be
 supplied through --config pointing at a flat "key = value" file; flags
 given on the command line win over the file; an option given neither
-way keeps the library's default unless _SPECS sets one.
+way keeps the library's default unless _SPECS sets one.  A --data
+file's first line is a header when --column names a column or the
+line's cell in that column is not a number; a file of more than one
+column needs --column.
 
 Exit codes: 0 success, 2 configuration error (an unwritable --out or
 a closed stdout among them), 3 data error, 4 model fit or training error.
@@ -30,16 +33,6 @@ from .rbf import RbfTrainConfig
 
 # a longer --degrees or --seeds range is a typo, not an experiment
 _MAX_RANGE = 100_000
-
-
-def _parse_has_header(no_header: str) -> bool:
-    """The boolean value of --no-header, as CsvSource.has_header."""
-    t = no_header.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return False
-    if t in ("0", "false", "no", "off"):
-        return True
-    raise ConfigError(f"cannot parse {no_header!r} as a boolean")
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -92,8 +85,7 @@ _REQUIRED = object()  # the default of an option that must be given
 # generator, cli of the command itself.  An option whose default is None,
 # given neither as a flag nor in the config file, is left out, so the
 # library's default applies.
-_CSV = {"data": (str, _REQUIRED, "csv.path"), "column": (_parse_column, None, "csv.column"),
-        "no_header": (_parse_has_header, None, "csv.has_header")}
+_CSV = {"data": (str, _REQUIRED, "csv.path"), "column": (_parse_column, None, "csv.column")}
 _PROTOCOL = {"window": (int, None, "exp.window_d"),
              "degrees": (_parse_int_list, None, "exp.degrees"),
              "lambda": (float, None, "exp.ridge_lambda"),
@@ -151,8 +143,8 @@ def _parse_argv(argv: list[str]) -> tuple[str | None, dict | None]:
 
     A flag is its option's config-file key with '--' in front.  A value
     is the next token unless that token starts with '--', so -inf, -1e3
-    and -h are values; --no-header alone means true.  -h or --help in a
-    flag's place asks for help: texts None (and command None if first).
+    and -h are values.  -h or --help in a flag's place asks for help:
+    texts None (and command None if first).
     """
     if argv[:1] in (["-h"], ["--help"]):
         return None, None
@@ -172,12 +164,9 @@ def _parse_argv(argv: list[str]) -> tuple[str | None, dict | None]:
         if key not in spec and key != "config":
             raise ConfigError(f"unknown option {name} for '{command}' (see lagcast {command} --help)")
         if not has_value:
-            if tokens and not tokens[0].startswith("--"):
-                text = tokens.pop(0)
-            elif key == "no_header":
-                text = "true"
-            else:
+            if not tokens or tokens[0].startswith("--"):
                 raise ConfigError(f"option {name} expects a value")
+            text = tokens.pop(0)
         texts[key] = text
     return command, texts
 

@@ -74,16 +74,20 @@ class WindowedDataset:
         return int(self.targets.size)
 
 
-def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = True) -> TimeSeries:
+def load_csv(path: str | Path, value_column: str | int | None = None) -> TimeSeries:
     """Read one value column from a comma-delimited text file.
 
-    Column may be named (requires a header) or a 0-based index; every
-    other column is ignored.  Rows in error messages are 1-based file
-    lines, header included.
+    Column may be named, a 0-based index, or None for a file of one
+    column; every other column is ignored.  The first non-blank line is
+    a header when the column is named or when its cell in the column is
+    not a number to float(); otherwise it is the first data row, so a
+    header whose cell is itself a number (a column named 2024) reads as
+    data.  Rows in error messages are 1-based file lines, header included.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        # utf-8-sig drops the byte-order mark that spreadsheet programs write
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -91,24 +95,29 @@ def load_csv(path: str | Path, value_column: str | int = 0, has_header: bool = T
     if not rows:
         raise DataError(f"{path}: file contains no rows")
 
-    col_index: int
-    if has_header:
-        header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1].split(",")]
+    first_line, first = rows[0][0], [cell.strip() for cell in rows[0][1].split(",")]
+    if value_column is None:
+        if len(first) > 1:
+            raise DataError(f"{path}: row {first_line} has {len(first)} columns "
+                            f"({', '.join(first)}); choose one by name or index")
+        value_column = 0
+    if isinstance(value_column, str):
+        if value_column not in first:
+            raise DataError(
+                f"{path}: no column named {value_column!r} in header (row {first_line})"
+            )
+        col_index = first.index(value_column)
         rows = rows[1:]
-        if isinstance(value_column, str):
-            if value_column not in header:
-                raise DataError(
-                    f"{path}: no column named {value_column!r} in header (row {header_line})"
-                )
-            col_index = header.index(value_column)
-        else:
-            col_index = int(value_column)
     else:
-        if isinstance(value_column, str):
-            raise ConfigError("named value_column requires has_header=True")
         col_index = int(value_column)
-    if col_index < 0:
-        raise DataError(f"{path}: column index must be >= 0, got {col_index}")
+        if col_index < 0:
+            raise DataError(f"{path}: column index must be >= 0, got {col_index}")
+        try:
+            float(first[col_index])
+        except IndexError:
+            pass  # a data row, so the loop below names the missing column
+        except ValueError:
+            rows = rows[1:]
 
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")

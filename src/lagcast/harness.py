@@ -44,8 +44,7 @@ _TABLE_FIELDS = ("exec_seconds", "mae", "rmse", "cv_rmse_pct")
 @dataclass(frozen=True)
 class CsvSource:
     path: str
-    column: Union[str, int] = 0
-    has_header: bool = True
+    column: Union[str, int, None] = None
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def resolve_source(source: DataSource) -> TimeSeries:
     generator does not take is a ConfigError.
     """
     if isinstance(source, CsvSource):
-        return load_csv(source.path, source.column, source.has_header)
+        return load_csv(source.path, source.column)
     if not isinstance(source, SynthSource):
         raise ConfigError(f"unknown data source type {type(source).__name__}")
     generate = _GENERATORS.get(source.kind)

@@ -7,13 +7,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lagcast import cli, errors, polynomial as poly
 from lagcast import rbf
 from lagcast.cli import main
 from lagcast.data import TimeSeries, load_csv, make_windows
 from lagcast.harness import (
-    CsvSource, ExperimentConfig, render_report, run_comparison, run_degree_sweep,
+    CsvSource, ExperimentConfig, SynthSource, render_report, resolve_source,
+    run_comparison, run_degree_sweep,
 )
 
 
@@ -86,6 +88,61 @@ def test_synth_deterministic_and_headered(tmp_path):
     ta, tb = open(a).read(), open(b).read()
     assert ta == tb
     assert ta.splitlines()[0] == "t,v"
+
+
+# ------------------------------------------------------------ reading CSVs
+
+class SeriesRead(Exception):
+    """Carries the values a command read, and stops it before any work."""
+
+
+def read_by_sweep(*argv):
+    """The values `lagcast sweep` reads from its --data file."""
+    def capture(config):
+        raise SeriesRead(resolve_source(config.source).values)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(SeriesRead) as info:
+        mp.setattr(cli, "run_degree_sweep", capture)
+        main(["sweep", *argv])
+    return info.value.args[0]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+def test_headerless_repr_floats_read_back_bit_for_bit(tmp_path_factory, values):
+    p = tmp_path_factory.mktemp("csv") / "vals.csv"
+    p.write_text("".join(f"{v!r}\n" for v in values))
+    written = np.array(values).tobytes()
+    assert load_csv(p).values.tobytes() == written
+    assert read_by_sweep("--data", str(p)).tobytes() == written
+
+
+def test_written_files_need_a_column_and_read_back_bit_for_bit(tmp_path, capsys):
+    series_csv, preds_csv, model = tmp_path / "s.csv", tmp_path / "p.csv", tmp_path / "m.json"
+    assert main(["synth", "--kind", "seasonal", "--n", "60", "--noise-sd", "0.1",
+                 "--out", str(series_csv)]) == 0
+    series = resolve_source(SynthSource(kind="seasonal", n=60, params={"noise_sd": 0.1}))
+    poly.save(poly.fit(make_windows(series, 3), degree_k=2), model)
+    assert main(["forecast", "--model", str(model), "--data", str(series_csv),
+                 "--column", "v", "--out", str(preds_csv)]) == 0
+    preds = poly.rolling_forecast(poly.load(model), make_windows(series, 3))
+    capsys.readouterr()
+    for path, columns, column, written in ((series_csv, "t, v", "v", series.values),
+                                           (preds_csv, "index, prediction", "prediction", preds)):
+        assert main(["sweep", "--data", str(path)]) == 3
+        assert capsys.readouterr().err == (f"data error: {path}: row 1 has 2 columns "
+                                           f"({columns}); choose one by name or index\n")
+        assert read_by_sweep("--data", str(path), "--column", column).tobytes() \
+            == written.tobytes()
+
+
+def test_forecast_on_a_headerless_file_keeps_its_first_point(tmp_path, capsys):
+    values = 10.0 + np.sin(np.arange(60) / 2.0) + np.random.default_rng(0).normal(0, 0.05, 60)
+    data, model, out = tmp_path / "vals.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    data.write_text("".join(f"{float(v)!r}\n" for v in values))
+    poly.save(poly.fit(make_windows(TimeSeries(name="s", values=values), 3), degree_k=1), model)
+    assert main(["forecast", "--model", str(model), "--data", str(data),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 57 predictions to {out}\n"
+    assert out.read_text().splitlines()[1].startswith("3,")
 
 
 # ----------------------------------------------------------------- sweep CLI
@@ -235,7 +292,7 @@ def refuse_work(*args, **kwargs):
     ["sweep", "--col", "v"],
     ["compare", "--seed", "3"],
     ["sweep", "stray"],
-    ["sweep", "--no-header", "maybe"],
+    ["sweep", "--no-header"],
     ["sweep", "--degrees", "5..1"],
     ["sweep", "--config", "/nonexistent/run.cfg"],
 ], ids=["compare-format", "compare-format-seeds", "sweep-format",
@@ -245,7 +302,7 @@ def refuse_work(*args, **kwargs):
         "compare-repeated-seed", "unknown-option",
         "unknown-command", "no-command", "option-missing-value",
         "abbreviated-degrees", "abbreviated-column", "abbreviated-seeds",
-        "stray-token", "no-header-not-a-boolean", "empty-degree-range",
+        "stray-token", "no-header-is-unknown", "empty-degree-range",
         "missing-config-file"])
 def test_bad_option_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
     for name in ("run_comparison", "run_comparison_suite", "run_degree_sweep"):
@@ -668,7 +725,7 @@ def test_help_as_a_value_runs_the_command(tmp_path, capsys, monkeypatch):
 SAMPLE_TEXT = {
     "kind": "walk", "n": "50", "seed": "3", "out": "out.txt", "period": "6",
     "amplitude": "2", "trend": "0.1", "noise_sd": "0.2", "drift": "0.3",
-    "coeffs": "0.5,0.2", "data": "series.csv", "column": "v", "no_header": "false",
+    "coeffs": "0.5,0.2", "data": "series.csv", "column": "v",
     "window": "4", "degrees": "1..3", "lambda": "0.1", "train_fraction": "0.7",
     "format": "csv", "alpha": "0.01", "rbf_units": "5", "rbf_lr": "0.01",
     "rbf_epochs": "3", "rbf_batch": "8", "seeds": "0,1", "model": "model.json",
@@ -694,18 +751,6 @@ def test_flag_forms_and_config_key_agree(tmp_path, command, name):
     conv, _, target = cli._SPECS[command][key]
     group, param = target.split(".")
     assert got[0][group][param] == conv(text)
-
-
-@pytest.mark.parametrize("form", [
-    ["--no-header"], ["--no-header", "true"], ["--no-header=true"], ["--config", "run.cfg"],
-], ids=["bare", "space", "joined", "config-file"])
-def test_no_header_forms_agree(tmp_path, monkeypatch, form):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text("no_header = true\n")
-    # a bare --no-header followed by another flag takes no value from it
-    command, texts = cli._parse_argv(["sweep", *form, "--data", "series.csv"])
-    assert cli._effective(command, texts)["csv"] == {"path": "series.csv",
-                                                     "has_header": False}
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

@@ -25,6 +25,9 @@ from lagcast.data import TimeSeries, make_windows
 FUZZ = settings(max_examples=25, deadline=None)
 QUICK_RBF = ["--rbf-units", "4", "--rbf-epochs", "2", "--rbf-batch", "16"]
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+# every fuzz argv is built from valid flags, so an error about its shape is a broken test
+ARGV_SHAPE = re.compile(r"unknown option|expects a value|unexpected argument|"
+                        r"missing required option")
 
 SERIES = 10.0 + np.sin(np.arange(60) / 2.0) \
     + 0.05 * np.random.default_rng(0).standard_normal(60)
@@ -47,9 +50,9 @@ hostile_floats = st.one_of(
 )
 
 
-def write_csv(directory: Path, values, name="series.csv") -> str:
+def write_csv(directory: Path, values, name="series.csv", header=True) -> str:
     path = directory / name
-    path.write_text("v\n" + "".join(f"{float(v)!r}\n" for v in values))
+    path.write_text(("v\n" if header else "") + "".join(f"{float(v)!r}\n" for v in values))
     return str(path)
 
 
@@ -63,6 +66,7 @@ def run(argv, out: Path | None = None) -> int:
     assert code in (0, 2, 3, 4), code
     if code:
         assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+        assert not ARGV_SHAPE.search(stderr.getvalue()), stderr.getvalue()
     else:
         text = stdout.getvalue()
         if out is not None and out.is_file():
@@ -119,10 +123,8 @@ def test_forecast_hostile_model_documents(kind, mutation, value, cut, key, d):
 def test_out_of_range_columns(command, column, header):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        data = write_csv(tmp, SERIES)
-        argv = [command, "--data", data, "--column", str(column)]
-        if not header:
-            argv += ["--no-header"]
+        argv = [command, "--data", write_csv(tmp, SERIES, header=header),
+                "--column", str(column)]
         if command == "sweep":
             argv += ["--window", "3", "--degrees", "1,2"]
         else:
@@ -141,11 +143,7 @@ def test_out_of_range_columns(command, column, header):
 def test_empty_and_tiny_csvs(command, rows, header):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        data = tmp / "tiny.csv"
-        data.write_text(("v\n" if header else "") + "".join(f"{v!r}\n" for v in rows))
-        argv = [command, "--data", str(data), "--column", "0"]
-        if not header:
-            argv += ["--no-header"]
+        argv = [command, "--data", write_csv(tmp, rows, "tiny.csv", header), "--column", "0"]
         if command == "compare":
             argv += QUICK_RBF
         if command == "forecast":

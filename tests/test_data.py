@@ -69,8 +69,52 @@ def test_load_csv_indexed_second_column(tmp_path):
 def test_load_csv_single_column_no_header(tmp_path):
     p = tmp_path / "vals.csv"
     p.write_text("1.5\n2.5\n3.5\n")
-    ts = load_csv(p, value_column=0, has_header=False)
-    assert ts.values.tolist() == [1.5, 2.5, 3.5]
+    assert load_csv(p).values.tolist() == [1.5, 2.5, 3.5]
+
+
+@pytest.mark.parametrize("text, column, want", [
+    ("v\n1\n2\n", None, [1.0, 2.0]),
+    ("v\n1\n2\n", 0, [1.0, 2.0]),
+    # a header cell that is itself a number reads as data: the one input the rule cannot tell
+    ("x,2024\n1,5\n2,6\n", 1, [2024.0, 5.0, 6.0]),
+], ids=["header", "header-by-index", "numeric-header-is-data"])
+def test_load_csv_first_line_is_a_header_unless_a_number(tmp_path, text, column, want):
+    p = tmp_path / "a.csv"
+    p.write_text(text)
+    assert load_csv(p, column).values.tolist() == want
+
+
+@pytest.mark.parametrize("first", ["nan", "inf", "-inf", "1e999"])
+def test_load_csv_non_finite_first_line_is_data(tmp_path, first):
+    p = tmp_path / "a.csv"
+    p.write_text(f"{first}\n1\n2\n")
+    with pytest.raises(DataError, match=f"row 1: non-finite value '{first}'"):
+        load_csv(p)
+
+
+def test_load_csv_first_line_without_the_column_is_data(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("v\n1,2\n3,4\n")
+    with pytest.raises(DataError, match="row 1 has no column 1"):
+        load_csv(p, 1)
+
+
+@pytest.mark.parametrize("text, column, want", [
+    ("\ufeffv\n1.5\n2.5\n", "v", [1.5, 2.5]),
+    ("\ufeff1.5\n2.5\n3.5\n", None, [1.5, 2.5, 3.5]),
+], ids=["named", "headerless"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, text, column, want):
+    p = tmp_path / "a.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert load_csv(p, column).values.tolist() == want
+
+
+def test_load_csv_many_columns_need_a_column(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("t,v\n0,1.5\n1,2.5\n")
+    with pytest.raises(DataError) as info:
+        load_csv(p)
+    assert str(info.value) == f"{p}: row 1 has 2 columns (t, v); choose one by name or index"
 
 
 def test_load_csv_tolerates_whitespace(tmp_path):
@@ -119,8 +163,8 @@ def test_load_csv_unknown_column(tmp_path):
 def test_load_csv_named_column_needs_header(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("5.0\n6.0\n")
-    with pytest.raises(ConfigError):
-        load_csv(p, value_column="v", has_header=False)
+    with pytest.raises(DataError, match=r"no column named 'v' in header \(row 1\)"):
+        load_csv(p, value_column="v")
 
 
 # -------------------------------------------------------------- make_windows
