@@ -5,10 +5,10 @@ the polynomial degree sweep, compare runs the PC vs RBFNN head-to-head,
 and forecast applies a saved model to a series.  Every flag can also be
 supplied through --config pointing at a flat "key = value" file; flags
 given on the command line win over the file; an option given neither
-way keeps the library's default unless _SPECS sets one.  A --data
-file's first line is a header when --column names a column or the
-line's cell in that column is not a number; a file of more than one
-column needs --column.
+way keeps the library's default.  A --data file's first line is a
+header when --column names a column or the line's cell in that column
+is not a number; a file of more than one column needs --column.  Files
+are read and written as UTF-8.
 
 Exit codes: 0 success, 2 configuration error (an unwritable --out or
 a closed stdout among them), 3 data error, 4 model fit or training error.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import polynomial as poly
 from . import rbf
-from .data import make_windows, read_model_document
+from .data import make_windows, read_model_document, read_text
 from .errors import ConfigError, DataError, FitError
 from .harness import (
     REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, _forecast, render_report,
@@ -100,11 +100,10 @@ _SPECS = {
     },
     "sweep": {**_CSV, **_PROTOCOL, "format": (_parse_format, "markdown", "cli.format"),
               "out": (str, None, "cli.out")},
-    # compare departs from the library on purpose: RBFNN at the paper's settings
     "compare": {
         **_CSV, **_PROTOCOL, "alpha": (float, None, "exp.alpha"),
-        "rbf_units": (int, 36, "rbf.units"), "rbf_lr": (float, 0.000264, "rbf.learning_rate"),
-        "rbf_epochs": (int, 60, "rbf.epochs"), "rbf_batch": (int, 109, "rbf.batch_size"),
+        "rbf_units": (int, None, "rbf.units"), "rbf_lr": (float, None, "rbf.learning_rate"),
+        "rbf_epochs": (int, None, "rbf.epochs"), "rbf_batch": (int, None, "rbf.batch_size"),
         "seeds": (_parse_int_list, None, "exp.seeds"),
         "format": (_parse_format, "json", "cli.format"), "out": (str, None, "cli.out"),
     },
@@ -122,10 +121,7 @@ def _key(name: str) -> str:
 
 def _read_config_file(path: str) -> dict:
     """Flat 'key = value' lines; '#' starts a comment; keys match flag names."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = read_text(path, f"config file {path}", ConfigError)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -216,7 +212,7 @@ def _effective(command: str, texts: dict) -> dict:
 
 def _write(path: str, text: str):
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -259,11 +255,7 @@ def _cmd_compare(g: dict):
 
 def _cmd_forecast(g: dict):
     v = g["cli"]
-    try:
-        text = Path(v["model"]).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read model file {v['model']}: {exc}") from exc
-    kind, fields = read_model_document(text)
+    kind, fields = read_model_document(read_text(v["model"], f"model file {v['model']}"))
     model = (rbf if kind == "an RBF" else poly).from_document(fields)
     windows = make_windows(resolve_source(CsvSource(**g["csv"])), int(fields["d"]))
     preds = _forecast(model, windows,

@@ -74,6 +74,15 @@ class WindowedDataset:
         return int(self.targets.size)
 
 
+def read_text(path: str | Path, label: str | None = None, error: type = DataError) -> str:
+    """A file's text as UTF-8, less the byte-order mark spreadsheets write; a file
+    that cannot be read or decoded raises `error`, naming `label` or the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {label or path}: {exc}") from exc
+
+
 def load_csv(path: str | Path, value_column: str | int | None = None) -> TimeSeries:
     """Read one value column from a comma-delimited text file.
 
@@ -85,13 +94,8 @@ def load_csv(path: str | Path, value_column: str | int | None = None) -> TimeSer
     data.  Rows in error messages are 1-based file lines, header included.
     """
     path = Path(path)
-    try:
-        # utf-8-sig drops the byte-order mark that spreadsheet programs write
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-    rows = [(lineno, raw) for lineno, raw in enumerate(lines, start=1) if raw.strip()]
+    rows = [(lineno, raw) for lineno, raw in enumerate(read_text(path).splitlines(), start=1)
+            if raw.strip()]
     if not rows:
         raise DataError(f"{path}: file contains no rows")
 

@@ -199,8 +199,8 @@ def from_json(text: str) -> PolynomialModel:
 
 
 def save(model: PolynomialModel, path: str | Path):
-    Path(path).write_text(to_json(model))
+    Path(path).write_text(to_json(model), encoding="utf-8")
 
 
 def load(path: str | Path) -> PolynomialModel:
-    return from_json(Path(path).read_text())
+    return from_json(Path(path).read_text(encoding="utf-8"))

@@ -79,16 +79,18 @@ class RbfNetwork:
 class RbfTrainConfig:
     """Knobs for output-layer training and (optionally) growth.
 
-    target_mse and max_units, the growth settings, come as a pair and only
-    matter to grow_until_target, which starts at min(4, N, max_units)
-    units and ignores `units`.  Every field is checked once here, so
-    the training loop does not re-check them per step.
+    The defaults are the paper's RBFNN settings: 36 units, batch 109,
+    60 epochs and learning rate 0.000264.  target_mse and max_units, the
+    growth settings, come as a pair and only matter to grow_until_target,
+    which starts at min(4, N, max_units) units and ignores `units`.  Every
+    field is checked once here, so the training loop does not re-check
+    them per step.
     """
 
-    units: int = 24
-    batch_size: int = 32
-    epochs: int = 100
-    learning_rate: float = 0.01
+    units: int = 36
+    batch_size: int = 109
+    epochs: int = 60
+    learning_rate: float = 0.000264
     seed: int = 0
     target_mse: float | None = None
     max_units: int | None = None
@@ -398,7 +400,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
 
     best_params = params.copy()
     best_mse = np.inf
-    history = np.empty(config.epochs)
+    history = []  # grows with the epochs run, not the epochs asked for
     resid = np.empty_like(targets)
     # Each epoch's shuffled rows are gathered a block of whole batches at a
     # time into one reused buffer, small enough to stay in cache while its
@@ -444,14 +446,14 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
                     f"training loss became non-finite at epoch {epoch + 1}; "
                     "lower the learning rate"
                 )
-            history[epoch] = mse
+            history.append(mse)
             if mse < best_mse:
                 best_mse = mse
                 best_params[...] = params
 
     net = replace(net, out_weights=best_params[:m], bias=float(best_params[m]))
-    return net, TrainTrace(epoch_mse=history, final_units=m, stop_reason="epochs",
-                           best_mse=best_mse)
+    return net, TrainTrace(epoch_mse=np.array(history), final_units=m,
+                           stop_reason="epochs", best_mse=best_mse)
 
 
 def _input_scale(inputs: np.ndarray) -> float:
@@ -526,8 +528,8 @@ def from_json(text: str) -> RbfNetwork:
 
 
 def save(net: RbfNetwork, path: str | Path):
-    Path(path).write_text(to_json(net))
+    Path(path).write_text(to_json(net), encoding="utf-8")
 
 
 def load(path: str | Path) -> RbfNetwork:
-    return from_json(Path(path).read_text())
+    return from_json(Path(path).read_text(encoding="utf-8"))

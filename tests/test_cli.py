@@ -79,6 +79,34 @@ def test_pipeline_synth_sweep_compare_forecast(tmp_path):
     assert len(lines) == 1 + 160 - 6
 
 
+def test_pipeline_names_every_file_encoding(tmp_path):
+    # -X warn_default_encoding warns wherever a file is opened in the
+    # locale's encoding, and -W error makes each warning a failure
+    def run(*argv):
+        r = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                            "-W", "error::EncodingWarning", *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == 0 and "EncodingWarning" not in r.stderr, r.stderr
+
+    data, cfg = str(tmp_path / "series.csv"), tmp_path / "run.cfg"
+    poly_path, rbf_path = str(tmp_path / "poly.json"), str(tmp_path / "rbf.json")
+    run("-m", "lagcast", "synth", "--kind", "seasonal", "--n", "160",
+        "--noise-sd", "0.05", "--out", data)
+    cfg.write_text(f"data = {data}\ncolumn = v\ndegrees = 1..2\n", encoding="utf-8")
+    run("-m", "lagcast", "sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.md"))
+    run("-m", "lagcast", "compare", "--data", data, "--column", "v", "--rbf-epochs", "5")
+    run("-c", "import sys\n"
+              "from lagcast import load_csv, make_windows, polynomial as poly, rbf\n"
+              "w = make_windows(load_csv(sys.argv[1], 'v'), 8)\n"
+              "poly.save(poly.fit(w, degree_k=2), sys.argv[2])\n"
+              "cfg = rbf.RbfTrainConfig(units=4, epochs=2)\n"
+              "rbf.save(rbf.fit_fixed(w.inputs, w.targets, cfg)[0], sys.argv[3])\n"
+              "poly.load(sys.argv[2]), rbf.load(sys.argv[3])\n", data, poly_path, rbf_path)
+    for model in (poly_path, rbf_path):
+        run("-m", "lagcast", "forecast", "--model", model, "--data", data, "--column", "v",
+            "--out", str(tmp_path / "preds.csv"))
+
+
 def test_synth_deterministic_and_headered(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["synth", "--kind", "walk", "--n", "25", "--seed", "7",
@@ -382,12 +410,12 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
                                     "json"))
     assert without_times(got) == without_times(want)
 
-    assert main(["compare", "--data", data, "--column", "v", "--rbf-units", "36",
-                 "--rbf-lr", "0.000264", "--rbf-epochs", "60", "--rbf-batch", "109"]) == 0
+    # the library's RBFNN settings are the paper's, so compare sets none
+    assert rbf.RbfTrainConfig() == rbf.RbfTrainConfig(units=36, learning_rate=0.000264,
+                                                      epochs=60, batch_size=109)
+    assert main(["compare", "--data", data, "--column", "v"]) == 0
     got = json.loads(capsys.readouterr().out)
-    paper = rbf.RbfTrainConfig(units=36, learning_rate=0.000264, epochs=60,
-                               batch_size=109)
-    report = run_comparison(ExperimentConfig(source=source, rbf_config=paper))
+    report = run_comparison(ExperimentConfig(source=source))
     assert without_times(got) == without_times(json.loads(render_report(report, "json")))
 
 
@@ -421,9 +449,12 @@ def test_library_warnings_print_one_line_each(tmp_path):
 @pytest.mark.parametrize("values, flags, stage, forward", [
     ([1e120 * (1 + 0.01 * np.sin(i)) for i in range(120)], ["--degrees", "3"], "PC fit", None),
     (None, ["--rbf-lr", "1e200"], "RBFNN training", None),
+    # the later --rbf-epochs wins: more epochs than any trace array could hold
+    (None, ["--rbf-lr", "1e200", "--rbf-epochs", "1000000000000"], "RBFNN training", None),
     # no real fit gets this far, as training fails first; the patch stands in
     (None, [], "RBFNN training", lambda net, inputs: np.full(len(inputs), np.inf)),
-], ids=["pc-design-overflow", "rbf-loss-non-finite", "rbf-forecast-non-finite"])
+], ids=["pc-design-overflow", "rbf-loss-non-finite", "rbf-huge-epoch-count",
+        "rbf-forecast-non-finite"])
 def test_fit_failure_is_exit_4(tmp_path, capsys, monkeypatch, values, flags, stage, forward):
     if forward is not None:
         monkeypatch.setattr(rbf, "batch_forward", forward)
@@ -436,6 +467,8 @@ def test_fit_failure_is_exit_4(tmp_path, capsys, monkeypatch, values, flags, sta
     assert code == 4
     assert len(err.splitlines()) == 1
     assert err.startswith(f"fit error: comparison aborted at stage '{stage}': ")
+    if "1e200" in flags:
+        assert "non-finite at epoch 1;" in err
     assert not out.exists()
 
 
@@ -533,6 +566,22 @@ def test_forecast_model_directory_is_exit_3(tmp_path, capsys):
     assert main(["forecast", "--model", str(model_dir), "--data", data,
                  "--out", str(tmp_path / "p.csv")]) == 3
     assert "cannot read model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["sweep", "--data"], 3, "data error: cannot read "),
+    (["forecast", "--out", "p.csv", "--data", "s.csv", "--model"], 3,
+     "data error: cannot read model file "),
+    (["sweep", "--config"], 2, "config error: cannot read config file "),
+], ids=["data", "model", "config"])
+def test_undecodable_file_is_exit_code_with_one_line(tmp_path, capsys, argv, code, prefix):
+    # a cp1252 degree sign is the byte 0xb0, which UTF-8 cannot decode
+    bad = tmp_path / "cp1252.txt"
+    bad.write_bytes("Temp (\u00b0C)\n1\n2\n".encode("cp1252"))
+    assert main([*argv, str(bad)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{prefix}{bad}: 'utf-8' codec can't decode byte 0xb0")
 
 
 def model_doc(kind, tmp_path):
