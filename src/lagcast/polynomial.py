@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 
-from .data import WindowedDataset, read_model_document, write_model_document
+from .data import WindowedDataset, read_model_document, read_text, write_model_document
 from .errors import ConfigError, DataError, FitError
 
 DEFAULT_BASIS_CAP = 100_000
@@ -38,6 +39,13 @@ class MonomialBasis:
     @property
     def count(self) -> int:
         return len(self.exponents)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per term, the (lag, power - 1) pair of each nonzero exponent, in
+        ascending lag order; built on first read, then kept with the basis."""
+        return tuple(tuple((j, p - 1) for j, p in enumerate(exp) if p)
+                     for exp in self.exponents)
 
 
 def enumerate_monomials(d: int, k: int) -> MonomialBasis:
@@ -70,14 +78,18 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
     """Evaluate every basis monomial on every input row.
 
     A column is the product of its factors, lags[j] ** p for each lag j
-    with a nonzero exponent p, taken in ascending lag order; a monomial
+    with a nonzero exponent p, taken in ascending lag order, as the
+    basis's factor plan (MonomialBasis.factors) lists them; a monomial
     with no factor (the constant) is a column of 1.0, wherever the basis
     puts it.  The product starts from its first factor: 1.0 * x is
     exactly x for every float, inf and nan included, so a column has the
     bits of 1.0 * a * b * ... in that order, and a column of ones to
-    start from would only cost an allocation and a multiply.  A lag's
-    first power is its column itself, copied once contiguous, because
-    products of strided views of a many-row input run slower.
+    start from would only cost an allocation and a multiply.  A
+    one-factor column is that power, copied in; the last multiply of a
+    longer product writes straight into its column, with no temporary to
+    copy.  A lag's first power is its column itself, copied once
+    contiguous, because products of strided views of a many-row input
+    run slower.
 
     Each column is computed on its own, so the layout changes no value.
     fit asks for column-major ("F") order: LAPACK works on columns, and
@@ -99,12 +111,18 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
         powers = [[x] + [x ** p for p in range(2, basis.degree_k + 1)]
                   for x in np.ascontiguousarray(inputs.T)]
         m = np.empty((n, basis.count), order=order)
-        for col, exp in enumerate(basis.exponents):
-            acc = None
-            for j, p in enumerate(exp):
-                if p:
-                    acc = powers[j][p - 1] if acc is None else acc * powers[j][p - 1]
-            m[:, col] = 1.0 if acc is None else acc
+        for col, factors in enumerate(basis.factors):
+            if not factors:
+                m[:, col] = 1.0
+            elif len(factors) == 1:
+                (j, i), = factors
+                m[:, col] = powers[j][i]
+            else:
+                (j, i), *middle, (last_j, last_i) = factors
+                acc = powers[j][i]
+                for j, i in middle:
+                    acc = acc * powers[j][i]
+                np.multiply(acc, powers[last_j][last_i], out=m[:, col])
     return m
 
 
@@ -203,4 +221,4 @@ def save(model: PolynomialModel, path: str | Path):
 
 
 def load(path: str | Path) -> PolynomialModel:
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    return from_json(read_text(path))

@@ -23,7 +23,7 @@ import numpy as np
 # numpy.random lazily, and the import would count as RBFNN execution time
 from numpy.random import default_rng
 
-from .data import read_model_document, write_model_document
+from .data import read_model_document, read_text, write_model_document
 from .errors import ConfigError, DataError, FitError
 
 _KMEANS_MAX_ITER = 100
@@ -532,4 +532,4 @@ def save(net: RbfNetwork, path: str | Path):
 
 
 def load(path: str | Path) -> RbfNetwork:
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    return from_json(read_text(path))

@@ -104,6 +104,33 @@ def test_basis_bad_args():
         enumerate_monomials(2, 0)
 
 
+def test_basis_factor_plan_hand_case():
+    b = enumerate_monomials(2, 2)
+    assert b.factors == ((), ((0, 0),), ((1, 0),), ((0, 1),), ((0, 0), (1, 0)), ((1, 1),))
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (3, 2), (8, 2), (4, 5)])
+def test_basis_factor_plan_is_built_once_in_ascending_lag_order(d, k):
+    canonical = enumerate_monomials(d, k)
+    order = np.random.default_rng([d, k]).permutation(canonical.count)
+    permuted = MonomialBasis(window_d=d, degree_k=k,
+                             exponents=tuple(canonical.exponents[i] for i in order))
+    for basis in (canonical, permuted):
+        plan = basis.factors
+        assert basis.factors is plan
+        assert len(plan) == basis.count
+        for exp, factors in zip(basis.exponents, plan):
+            lags = [j for j, _ in factors]
+            assert lags == sorted(set(lags))
+            rebuilt = [0] * d
+            for j, i in factors:
+                rebuilt[j] = i + 1
+            assert tuple(rebuilt) == exp
+    # the plan is kept beside the fields: equality and hash are the fields'
+    assert canonical == enumerate_monomials(d, k)
+    assert hash(canonical) == hash(enumerate_monomials(d, k))
+
+
 # ------------------------------------------------------------ one-row design
 
 def test_expand_hand_case():
@@ -355,6 +382,21 @@ def test_file_round_trip(tmp_path):
     save(model, path)
     again = load(path)
     assert np.array_equal(again.weights, model.weights)
+
+
+def test_load_missing_file_is_a_data_error(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"weights": "\xb0"}')
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(path) in str(err.value)
 
 
 def test_from_json_rejects_bad_version():

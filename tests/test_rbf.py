@@ -758,6 +758,21 @@ def test_file_round_trip(tmp_path):
     assert np.array_equal(again.out_weights, net.out_weights)
 
 
+def test_load_missing_file_is_a_data_error(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"weights": "\xb0"}')
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(path) in str(err.value)
+
+
 def test_from_json_rejects_bad_version():
     doc = json.loads(to_json(trained_net()))
     doc["schema_version"] = 2
