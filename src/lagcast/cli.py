@@ -68,15 +68,6 @@ def _parse_column(text: str) -> str | int:
     return int(t)
 
 
-def _wrap(conv, key: str):
-    def run(text: str):
-        try:
-            return conv(text)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
-    return run
-
-
 _REQUIRED = object()  # the default of an option that must be given
 
 # key -> (converter, CLI default, target).  The target "group.param" names
@@ -202,7 +193,10 @@ def _effective(command: str, texts: dict) -> dict:
         values = groups.setdefault(group, {})
         text = texts.get(key, file_values.get(key))
         if text is not None:
-            values[param] = _wrap(conv, key)(text)
+            try:
+                values[param] = conv(text)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
         elif default is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         elif default is not None:

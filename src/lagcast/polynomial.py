@@ -9,8 +9,9 @@ is no iterative training loop.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -25,16 +26,38 @@ DEFAULT_BASIS_CAP = 100_000
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """All exponent tuples over d variables with total degree <= K.
+    """Every monomial of total degree <= K over d lags: (d, K) fix them all.
 
-    Ordered by ascending total degree; within a degree, earlier lags get
-    higher exponents first.  The constant term is always first, so the
-    basis of (d=2, K=2) reads 1, y1, y2, y1^2, y1*y2, y2^2.
+    exponents, derived at construction, is ordered by ascending total
+    degree; within a degree, earlier lags get higher exponents first.
+    The constant term is always first, so the basis of (d=2, K=2) reads
+    1, y1, y2, y1^2, y1*y2, y2^2.
     """
 
     window_d: int
     degree_k: int
-    exponents: tuple[tuple[int, ...], ...]
+    exponents: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        d, k = self.window_d, self.degree_k
+        if d < 1 or k < 1:
+            raise ConfigError(f"window size d and degree K must be >= 1, got d={d}, K={k}")
+        # C(d + k, k) one factor at a time: a huge d and K stop at the cap, not in math.comb
+        total = 1
+        for i in range(1, min(d, k) + 1):
+            total = total * (max(d, k) + i) // i
+            if total > DEFAULT_BASIS_CAP:
+                raise ConfigError(f"basis for d={d}, K={k} has more than "
+                                  f"{DEFAULT_BASIS_CAP} terms (the cap)")
+        exps: list[tuple[int, ...]] = [(0,) * d]
+        for degree in range(1, k + 1):
+            for combo in combinations_with_replacement(range(d), degree):
+                e = [0] * d
+                for var in combo:
+                    e[var] += 1
+                exps.append(tuple(e))
+        assert len(exps) == total
+        object.__setattr__(self, "exponents", tuple(exps))
 
     @property
     def count(self) -> int:
@@ -49,29 +72,8 @@ class MonomialBasis:
 
 
 def enumerate_monomials(d: int, k: int) -> MonomialBasis:
-    """Build the canonical monomial basis for window size d and max degree k."""
-    if d < 1:
-        raise ConfigError(f"window size d must be >= 1, got {d}")
-    if k < 1:
-        raise ConfigError(f"degree k must be >= 1, got {k}")
-    # C(d + k, k) one factor at a time, so that a huge d and K stop at the
-    # cap rather than inside a long math.comb
-    total = 1
-    for i in range(1, min(d, k) + 1):
-        total = total * (max(d, k) + i) // i
-        if total > DEFAULT_BASIS_CAP:
-            raise ConfigError(
-                f"basis for d={d}, K={k} has more than {DEFAULT_BASIS_CAP} terms (the cap)"
-            )
-    exps: list[tuple[int, ...]] = [(0,) * d]
-    for degree in range(1, k + 1):
-        for combo in combinations_with_replacement(range(d), degree):
-            e = [0] * d
-            for var in combo:
-                e[var] += 1
-            exps.append(tuple(e))
-    assert len(exps) == total
-    return MonomialBasis(window_d=d, degree_k=k, exponents=tuple(exps))
+    """The monomial basis for window size d and max degree k."""
+    return MonomialBasis(d, k)
 
 
 def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -> np.ndarray:
@@ -79,17 +81,16 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
 
     A column is the product of its factors, lags[j] ** p for each lag j
     with a nonzero exponent p, taken in ascending lag order, as the
-    basis's factor plan (MonomialBasis.factors) lists them; a monomial
-    with no factor (the constant) is a column of 1.0, wherever the basis
-    puts it.  The product starts from its first factor: 1.0 * x is
-    exactly x for every float, inf and nan included, so a column has the
-    bits of 1.0 * a * b * ... in that order, and a column of ones to
-    start from would only cost an allocation and a multiply.  A
-    one-factor column is that power, copied in; the last multiply of a
-    longer product writes straight into its column, with no temporary to
-    copy.  A lag's first power is its column itself, copied once
-    contiguous, because products of strided views of a many-row input
-    run slower.
+    basis's factor plan (MonomialBasis.factors) lists them; the constant,
+    always term 0, is a column of 1.0.  The product starts from its
+    first factor: 1.0 * x is exactly x for every float, inf and nan
+    included, so a column has the bits of 1.0 * a * b * ... in that
+    order, and a column of ones to start from would only cost an
+    allocation and a multiply.  A one-factor column is that power,
+    copied in; the last multiply of a longer product writes straight
+    into its column, with no temporary to copy.  A lag's first power is
+    its column itself, copied once contiguous, because products of
+    strided views of a many-row input run slower.
 
     Each column is computed on its own, so the layout changes no value.
     fit asks for column-major ("F") order: LAPACK works on columns, and
@@ -111,10 +112,9 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
         powers = [[x] + [x ** p for p in range(2, basis.degree_k + 1)]
                   for x in np.ascontiguousarray(inputs.T)]
         m = np.empty((n, basis.count), order=order)
-        for col, factors in enumerate(basis.factors):
-            if not factors:
-                m[:, col] = 1.0
-            elif len(factors) == 1:
+        m[:, 0] = 1.0
+        for col, factors in enumerate(basis.factors[1:], start=1):
+            if len(factors) == 1:
                 (j, i), = factors
                 m[:, col] = powers[j][i]
             else:
@@ -131,6 +131,17 @@ class PolynomialModel:
     basis: MonomialBasis
     weights: np.ndarray
     ridge_lambda: float
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.shape != (self.basis.count,):
+            raise DataError(f"model weights have shape {weights.shape}, not ({self.basis.count},)")
+        if not np.all(np.isfinite(weights)):
+            raise DataError("model weights must be finite")
+        lam = self.ridge_lambda  # a document holds no boolean, nor an int past float range
+        if isinstance(lam, (bool, np.bool_)) or not 0.0 <= lam <= sys.float_info.max:
+            raise DataError(f"model lambda must be a finite number >= 0, got {lam}")
+        object.__setattr__(self, "weights", weights)
 
 
 def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> PolynomialModel:
@@ -193,23 +204,18 @@ def to_json(model: PolynomialModel) -> str:
     """Serialize with full float precision; round-trips bit exact."""
     return write_model_document({
         "d": model.basis.window_d, "K": model.basis.degree_k, "lambda": model.ridge_lambda,
-        "exponents": model.basis.exponents, "weights": np.asarray(model.weights, dtype=float)})
+        "exponents": model.basis.exponents, "weights": model.weights})
 
 
 def from_document(fields: dict) -> PolynomialModel:
     """The model of a polynomial document's fields, as read_model_document returns them."""
-    ridge_lambda = float(fields["lambda"])
-    if ridge_lambda < 0:
-        raise DataError(f"model lambda must be >= 0, got {ridge_lambda}")
     try:
         basis = enumerate_monomials(int(fields["d"]), int(fields["K"]))
     except ConfigError as exc:
         raise DataError(f"model document has no usable basis: {exc}") from exc
     if not np.array_equal(fields["exponents"], basis.exponents):
         raise DataError("model exponents do not match the canonical basis for (d, K)")
-    if fields["weights"].size != basis.count:
-        raise DataError(f"model has {fields['weights'].size} weights for {basis.count} terms")
-    return PolynomialModel(basis=basis, weights=fields["weights"], ridge_lambda=ridge_lambda)
+    return PolynomialModel(basis, fields["weights"], float(fields["lambda"]))
 
 
 def from_json(text: str) -> PolynomialModel:

@@ -1,10 +1,15 @@
-"""Every name a lagcast module imports is used in that module, and every
-module it imports is in the standard library or is numpy."""
+"""Every name a lagcast module imports is used in that module, every
+module it imports is in the standard library or is numpy, and every
+lagcast name the benchmark in perfbench/ calls exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lagcast"
@@ -56,3 +61,67 @@ def test_scan_flags_a_foreign_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+# ------------------------------------------------ what the benchmark calls
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+# layers the benchmark still names though their functions are gone
+STALE_LAYERS = {"numerics.solve_spd", "numerics.gram"}
+
+
+def perfbench_reads() -> set[tuple[str, str]]:
+    """(module, attribute) of every attribute perfbench's code reads through a
+    name bound to lagcast or one of its modules."""
+    reads = set()
+    for name in ("workloads.py", "run.py", "child.py"):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "lagcast":  # import lagcast[.cli] [as x]
+                        bound[a.asname or "lagcast"] = a.name if a.asname else "lagcast"
+            elif isinstance(node, ast.ImportFrom) and node.module == "lagcast":
+                for a in node.names:
+                    bound[a.asname or a.name] = f"lagcast.{a.name}"
+        reads.update((bound[n.value.id], n.attr) for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                     and n.value.id in bound)
+    return reads
+
+
+def test_every_lagcast_name_perfbench_reads_exists():
+    import lagcast.cli  # noqa: F401  -- child.py reads lagcast.cli
+
+    reads = perfbench_reads()
+    assert {("lagcast.polynomial", "rolling_forecast"), ("lagcast.rbf", "grow_until_target"),
+            ("lagcast", "WindowedDataset"), ("lagcast.data", "load_csv"),
+            ("lagcast.metrics", "timed"), ("lagcast.harness", "run_degree_sweep")} <= reads
+    missing = [f"{module}.{attr}" for module, attr in sorted(reads)
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def test_every_traced_layer_exists_but_the_stale_ones():
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYERS")
+    absent = {layer for layer, (module, attr) in layers.items()
+              if importlib.util.find_spec(module) is None
+              or not hasattr(importlib.import_module(module), attr)}
+    assert absent == STALE_LAYERS
+
+
+def test_call_shapes_perfbench_relies_on():
+    from lagcast import rbf
+    from lagcast.data import WindowedDataset
+
+    # the tracer counts rbf.train's steps from args[0] and args[4]
+    params = list(inspect.signature(rbf.train).parameters)
+    assert params[0] == "inputs" and params[4] == "config"
+    # the stream builds one-row datasets positionally
+    row = WindowedDataset(2, np.array([[1.0, 2.0]]), np.array([3.0]))
+    assert row.window_d == 2 and row.inputs.tolist() == [[1.0, 2.0]]
+    assert row.targets.tolist() == [3.0]

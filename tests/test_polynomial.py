@@ -10,7 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lagcast import polynomial
 from lagcast.data import TimeSeries, WindowedDataset, make_windows, synth_ar
 from lagcast.errors import ConfigError, DataError, FitError
 from lagcast.polynomial import (
@@ -104,6 +106,28 @@ def test_basis_bad_args():
         enumerate_monomials(2, 0)
 
 
+def test_basis_takes_no_exponents():
+    with pytest.raises(TypeError):
+        MonomialBasis(window_d=2, degree_k=1, exponents=((0, 0), (2, 0)))
+
+
+@pytest.mark.parametrize("d, k", [(0, 2), (2, 0), (30, 10)])
+def test_basis_checks_itself_at_construction(monkeypatch, d, k):
+    # each is refused before any term is built: (30, 10) by counting its terms
+    def refuse(*args):
+        raise AssertionError("enumerated a refused basis")
+    monkeypatch.setattr(polynomial, "combinations_with_replacement", refuse)
+    with pytest.raises(ConfigError):
+        MonomialBasis(d, k)
+
+
+def test_basis_is_its_window_and_degree():
+    assert MonomialBasis(3, 2) == enumerate_monomials(3, 2)
+    assert hash(MonomialBasis(3, 2)) == hash(enumerate_monomials(3, 2))
+    assert MonomialBasis(3, 2).exponents == enumerate_monomials(3, 2).exponents
+    assert MonomialBasis(3, 2) != MonomialBasis(2, 3)
+
+
 def test_basis_factor_plan_hand_case():
     b = enumerate_monomials(2, 2)
     assert b.factors == ((), ((0, 0),), ((1, 0),), ((0, 1),), ((0, 0), (1, 0)), ((1, 1),))
@@ -112,20 +136,16 @@ def test_basis_factor_plan_hand_case():
 @pytest.mark.parametrize("d, k", [(1, 3), (3, 2), (8, 2), (4, 5)])
 def test_basis_factor_plan_is_built_once_in_ascending_lag_order(d, k):
     canonical = enumerate_monomials(d, k)
-    order = np.random.default_rng([d, k]).permutation(canonical.count)
-    permuted = MonomialBasis(window_d=d, degree_k=k,
-                             exponents=tuple(canonical.exponents[i] for i in order))
-    for basis in (canonical, permuted):
-        plan = basis.factors
-        assert basis.factors is plan
-        assert len(plan) == basis.count
-        for exp, factors in zip(basis.exponents, plan):
-            lags = [j for j, _ in factors]
-            assert lags == sorted(set(lags))
-            rebuilt = [0] * d
-            for j, i in factors:
-                rebuilt[j] = i + 1
-            assert tuple(rebuilt) == exp
+    plan = canonical.factors
+    assert canonical.factors is plan
+    assert len(plan) == canonical.count
+    for exp, factors in zip(canonical.exponents, plan):
+        lags = [j for j, _ in factors]
+        assert lags == sorted(set(lags))
+        rebuilt = [0] * d
+        for j, i in factors:
+            rebuilt[j] = i + 1
+        assert tuple(rebuilt) == exp
     # the plan is kept beside the fields: equality and hash are the fields'
     assert canonical == enumerate_monomials(d, k)
     assert hash(canonical) == hash(enumerate_monomials(d, k))
@@ -177,20 +197,17 @@ def reference_design(basis, inputs, order):
 def test_design_bytes_equal_reference_loop(d, k):
     rng = np.random.default_rng([d, k])
     canonical = enumerate_monomials(d, k)
-    permuted = MonomialBasis(window_d=d, degree_k=k, exponents=tuple(
-        canonical.exponents[i] for i in rng.permutation(canonical.count)))
     # huge, tiny and signed zero entries: products overflow to +-inf from
     # k = 2 on, and with two lags or more inf * 0 makes nan from k = 3 on
     extremes = rng.choice([1e200, -1e200, 1e-200, 0.0, -0.0, 3.0], size=(200, d))
     for inputs in (rng.standard_normal((200, d)), extremes):
         for rows in (inputs[:1], inputs):
-            for basis in (canonical, permuted):
-                for order in "CF":
-                    with np.errstate(all="ignore"):
-                        want = reference_design(basis, rows, order)
-                    got = _design_matrix(basis, rows, order)
-                    assert got.strides == want.strides
-                    assert got.tobytes(order="A") == want.tobytes(order="A")
+            for order in "CF":
+                with np.errstate(all="ignore"):
+                    want = reference_design(canonical, rows, order)
+                got = _design_matrix(canonical, rows, order)
+                assert got.strides == want.strides
+                assert got.tobytes(order="A") == want.tobytes(order="A")
     with np.errstate(all="ignore"):
         overflowed = _design_matrix(canonical, extremes)
     assert np.isinf(overflowed).any() == (k >= 2)
@@ -296,6 +313,31 @@ def test_fit_degree_monotone_on_training_sse():
 
 # ------------------------------------------------------- one-window forecast
 
+@pytest.mark.parametrize("weights, ridge_lambda, match", [
+    (np.ones(2), 0.0, r"shape \(2,\), not \(3,\)"),
+    (np.ones((1, 3)), 0.0, r"shape \(1, 3\), not \(3,\)"),
+    (np.array([1.0, np.nan, 0.0]), 0.0, "weights must be finite"),
+    (np.array([1.0, np.inf, 0.0]), 0.0, "weights must be finite"),
+    (np.ones(3), -1.0, "lambda"),
+    (np.ones(3), float("nan"), "lambda"),
+    (np.ones(3), float("inf"), "lambda"),
+    (np.ones(3), 10 ** 400, "lambda"),
+    (np.ones(3), True, "lambda"),
+    (np.ones(3), np.True_, "lambda"),
+], ids=["short", "two-dimensional", "nan-weight", "inf-weight", "negative-lambda",
+        "nan-lambda", "inf-lambda", "int-past-float-lambda", "boolean-lambda",
+        "numpy-boolean-lambda"])
+def test_model_checks_itself(weights, ridge_lambda, match):
+    with pytest.raises(DataError, match=match):
+        PolynomialModel(enumerate_monomials(2, 1), weights, ridge_lambda)
+
+
+def test_model_weights_are_float64():
+    model = PolynomialModel(enumerate_monomials(2, 1), [1, -2, 3], 0)
+    assert model.weights.dtype == np.float64
+    assert model.weights.tolist() == [1.0, -2.0, 3.0]
+
+
 def test_predict_constant_model():
     b = enumerate_monomials(2, 1)
     model = PolynomialModel(basis=b, weights=np.array([4.2, 0.0, 0.0]),
@@ -313,18 +355,15 @@ def test_predict_linear_series_next_value():
 
 
 def test_predictions_invariant_to_basis_permutation():
+    # the least-squares fit does not depend on the order of the terms
     data = noisy_windows(n=300)
     model = fit(data, degree_k=2)
     perm = [3, 0, 5, 1, 4, 2]
-    shuffled = MonomialBasis(
-        window_d=2, degree_k=2,
-        exponents=tuple(model.basis.exponents[i] for i in perm),
-    )
-    m = _design_matrix(shuffled, data.inputs)
+    m = _design_matrix(model.basis, data.inputs)[:, perm]
     w, *_ = np.linalg.lstsq(m, data.targets, rcond=None)
     for row in data.inputs[:25]:
         ours = forecast_row(model, row)
-        theirs = float(design_row(shuffled, row) @ w)
+        theirs = float(design_row(model.basis, row)[perm] @ w)
         assert abs(ours - theirs) <= 1e-10 * (1.0 + abs(ours))
 
 
@@ -366,6 +405,24 @@ def test_json_round_trip_bit_exact():
     again = from_json(to_json(model))
     assert np.array_equal(again.weights, model.weights)
     assert again.basis == model.basis
+    assert again.ridge_lambda == model.ridge_lambda
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=1, max_value=8),
+       k=st.integers(min_value=1, max_value=4),
+       ridge_lambda=st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                              st.integers(min_value=0, max_value=10 ** 6)))
+def test_every_accepted_model_round_trips(data, d, k, ridge_lambda):
+    basis = enumerate_monomials(d, k)
+    weights = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=basis.count, max_size=basis.count))
+    model = PolynomialModel(basis, np.array(weights), ridge_lambda)
+    again = from_json(to_json(model))
+    assert again.basis == model.basis
+    assert again.basis.exponents == model.basis.exponents
+    assert again.weights.dtype == model.weights.dtype
+    assert again.weights.tobytes() == model.weights.tobytes()
     assert again.ridge_lambda == model.ridge_lambda
 
 
