@@ -171,6 +171,15 @@ MODEL_LAYOUTS = {"a polynomial": {"exponents": (2, int), "d": (0, int), "K": (0,
                             "out_weights": (1, float), "bias": (0, float)}}
 
 
+def float_array(values, message: str) -> np.ndarray:
+    """values as a float64 array, for a model record; a Python int past
+    float range, which numpy refuses to convert, is DataError(message)."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise DataError(message) from None
+
+
 def write_model_document(fields: dict) -> str:
     """A model document: schema_version, then each field as nested JSON numbers."""
     return json.dumps({"schema_version": MODEL_SCHEMA_VERSION,

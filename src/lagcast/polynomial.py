@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import WindowedDataset, read_model_document, read_text, write_model_document
+from .data import (WindowedDataset, float_array, read_model_document, read_text,
+                   write_model_document)
 from .errors import ConfigError, DataError, FitError
 
 DEFAULT_BASIS_CAP = 100_000
@@ -133,7 +134,7 @@ class PolynomialModel:
     ridge_lambda: float
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = float_array(self.weights, "model weights must be finite")
         if weights.shape != (self.basis.count,):
             raise DataError(f"model weights have shape {weights.shape}, not ({self.basis.count},)")
         if not np.all(np.isfinite(weights)):

@@ -10,6 +10,15 @@ the closed-form least-squares optimum.
 An optional growth mode starts small and inserts hidden units at the
 worst-predicted training window until a target MSE or a unit budget is
 reached.
+
+Every squared distance has the bits of numpy's own row sum,
+np.sum((x - c) ** 2), whichever way it is computed.  From 1024 distances
+per call, at windows of up to 24 lags, _sq_dists makes those sums
+column by column in numpy's order (a running sum below 8 lags, eight
+strided accumulators from 8), which skips numpy's per-row loop overhead.
+k-means (init_centers) keeps per-row distance bounds and re-screens only
+the rows whose bounds, widened by each iteration's center moves and a
+rounding margin, no longer prove their nearest center.
 """
 
 from __future__ import annotations
@@ -23,14 +32,30 @@ import numpy as np
 # numpy.random lazily, and the import would count as RBFNN execution time
 from numpy.random import default_rng
 
-from .data import read_model_document, read_text, write_model_document
+from .data import float_array, read_model_document, read_text, write_model_document
 from .errors import ConfigError, DataError, FitError
 
 _KMEANS_MAX_ITER = 100
 _KMEANS_REL_TOL = 1e-6
-# rows per block: of _sq_dists' (block, M, d) temporary, and of train's
-# gathers of shuffled activations (rounded down to whole batches)
+# rows per block: of _sq_dists' broadcast (block, M, d) temporary, and of
+# train's gathers of shuffled activations (rounded down to whole batches)
 _ROW_BLOCK = 512
+# _sq_dists' column-wise kernel makes numpy's row sums (a running sum
+# below d 8, eight strided accumulators from d 8; its docstring has the
+# detail) plane by plane, from 1024 output elements (n * M) up and for
+# d <= 24, on blocks of 8192 output elements.  Measured against
+# the broadcast form on 16k rows at d 8: 8.4 against 20.8 ms with 36
+# centers, 0.16 against 0.58 ms with one.  For d <= 24 the two cross
+# between 300 and 1200 elements; above d 24 the kernel gains less with 36
+# centers and loses with one (d 32: 1.6 against 1.1 ms).  init_centers'
+# Lloyd iterations skip each row whose bounds prove its nearest center
+# (the rule is derived there) and send the rest through _nearest_center.
+_COLUMN_MIN_ELEMS = 1024
+_COLUMN_MAX_D = 24
+_COLUMN_BLOCK = 8192
+# init_centers screens rows in blocks of at most this many screen values
+# (rows * M, 512 KiB), so its peak memory does not grow with N * M
+_SCREEN_BLOCK = 1 << 16
 _MIN_WIDTH = 1e-6
 _GROW_START_UNITS = 4
 _RMSPROP_RHO = 0.9  # the usual RMSprop decay and zero-division guard
@@ -48,9 +73,10 @@ class RbfNetwork:
     bias: float
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64)
-        widths = np.asarray(self.widths, dtype=np.float64)
-        weights = np.asarray(self.out_weights, dtype=np.float64)
+        finite = "out_weights and bias must be finite"
+        centers = float_array(self.centers, "centers must be finite")
+        widths = float_array(self.widths, "widths must be finite and strictly positive")
+        weights = float_array(self.out_weights, finite)
         if centers.ndim != 2 or min(centers.shape) < 1:
             raise DataError("centers must be a non-empty (M, d) array")
         m = centers.shape[0]
@@ -60,8 +86,8 @@ class RbfNetwork:
             raise DataError("centers must be finite")
         if not (np.all(np.isfinite(widths)) and np.all(widths > 0)):
             raise DataError("widths must be finite and strictly positive")
-        if not (np.all(np.isfinite(weights)) and np.isfinite(self.bias)):
-            raise DataError("out_weights and bias must be finite")
+        if not (np.all(np.isfinite(weights)) and np.isfinite(float_array(self.bias, finite))):
+            raise DataError(finite)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "out_weights", weights)
@@ -151,35 +177,72 @@ def _check_training_data(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.nd
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2), bit for bit.
 
-    Rows of a are taken _ROW_BLOCK at a time through one reused buffer,
-    which bounds the temporary at _ROW_BLOCK x M x d.  numpy reduces each
-    row's contiguous length-d axis on its own, so blocking changes no bits.
+    numpy sums each row's contiguous length-d axis on its own, in the
+    order of its pairwise sum: for d < 8 a running sum; for 8 <= d <= 128
+    eight strided accumulators, r_j holding the squares j, j + 8,
+    j + 16, ... of the whole multiples of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the d % 8
+    tail added one by one; above 128 it recurses.
+
+    From _COLUMN_MIN_ELEMS output elements (n * M) up, and for d at most
+    _COLUMN_MAX_D, the kernel makes those same sums column by column: per
+    block of _COLUMN_BLOCK output elements, one subtraction and one
+    squaring fill d planes of (rows, M) squares, and whole-plane additions
+    combine them in that order.  That spends no per-output loop overhead,
+    the broadcast form's cost on short rows.  Otherwise rows of a are
+    broadcast against b _ROW_BLOCK at a time through one reused buffer,
+    which bounds the temporary at _ROW_BLOCK x M x d; blocking changes no
+    bits.  In k-means, rows whose distance bounds prove their nearest
+    center skip both the screen and these sums (see init_centers).
     """
-    n = a.shape[0]
-    out = np.empty((n, b.shape[0]))
-    buf = np.empty((min(n, _ROW_BLOCK),) + b.shape)
-    for start in range(0, n, _ROW_BLOCK):
-        blk = buf[:min(_ROW_BLOCK, n - start)]
-        np.subtract(a[start:start + _ROW_BLOCK, None, :], b, blk)
-        np.square(blk, blk)
-        blk.sum(axis=2, out=out[start:start + _ROW_BLOCK])
+    n, d = a.shape
+    m = b.shape[0]
+    out = np.empty((n, m))
+    if n * m < _COLUMN_MIN_ELEMS or d > _COLUMN_MAX_D:
+        buf = np.empty((min(n, _ROW_BLOCK),) + b.shape)
+        for start in range(0, n, _ROW_BLOCK):
+            blk = buf[:min(_ROW_BLOCK, n - start)]
+            np.subtract(a[start:start + _ROW_BLOCK, None, :], b, blk)
+            np.square(blk, blk)
+            blk.sum(axis=2, out=out[start:start + _ROW_BLOCK])
+        return out
+    rows = max(1, _COLUMN_BLOCK // m)
+    buf = np.empty((d, min(n, rows), m))
+    b_cols = b.T[:, None, :]
+    body = d - d % 8 if d >= 8 else 1  # the planes summed before the running tail
+    for start in range(0, n, rows):
+        sq = buf[:, :min(rows, n - start)]
+        np.subtract(a[start:start + rows].T[:, :, None], b_cols, sq)
+        np.square(sq, sq)
+        if d >= 8:
+            for j in range(8, body, 8):
+                sq[:8] += sq[j:j + 8]
+            for step in (1, 2, 4):  # the pairwise tree over r0..r7
+                sq[:8:2 * step] += sq[step:8:2 * step]
+        for j in range(body, d):
+            sq[0] += sq[j]
+        out[start:start + rows] = sq[0]
     return out
 
 
 def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
-                    centers: np.ndarray) -> np.ndarray:
-    """Per row, np.argmin(_sq_dists(inputs, centers), axis=1), bit for bit.
+                    centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, np.argmin(_sq_dists(inputs, centers), axis=1), bit for bit,
+    and bounds on the exact distances behind it.
 
     x_norm2 holds the squared row norms of inputs; it sizes the rounding
-    bound only.  Rows whose GEMM screen cannot prove the argmin are
-    decided by the direct sums.
+    bound and the bounds.  Rows whose GEMM screen cannot prove the argmin
+    are decided by the direct sums.  Returns (assign, upper, lower): per
+    row, upper is at least the exact distance to its assigned center and
+    lower at most the exact distance to every other center; a row the
+    screen could not prove gets (inf, 0), bounds that prove nothing.
     """
     n, d = inputs.shape
     if centers.shape[0] == 1:
-        return np.zeros(n, dtype=np.intp)
+        return np.zeros(n, dtype=np.intp), np.full(n, np.inf), np.full(n, np.inf)
     rows = np.arange(n)
-    # Overflow and inf - inf only make a gap inf or NaN, and such rows
-    # are rechecked.
+    # Overflow and inf - inf only make a gap or a bound inf or NaN, and
+    # such rows are rechecked.
     with np.errstate(over="ignore", invalid="ignore"):
         c_norm2 = np.sum(centers ** 2, axis=1)
         # |c|^2 - 2 x.c is |x - c|^2 - |x|^2, and |x|^2 is the same for
@@ -191,7 +254,7 @@ def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
         g[rows, assign] = np.inf
         # the runner-up: g.min(axis=1)'s value, NaN included, but argmin
         # is the faster pass over short rows
-        gap = g[rows, np.argmin(g, axis=1)] - best
+        runner = g[rows, np.argmin(g, axis=1)]
         # Why a row that clears the bound is certain (u = eps/2 and
         # s = |x| + max|c|): the screen's squared center norm errs by at
         # most d*u*|c|^2, its dot product by 2*d*u*|x||c| (Higham 2002,
@@ -210,10 +273,24 @@ def _nearest_center(inputs: np.ndarray, x_norm2: np.ndarray,
         finfo = np.finfo(np.float64)
         bound = 8 * (d + 3) * finfo.eps * (
             np.sqrt(x_norm2) + math.sqrt(c_norm2.max())) ** 2 + finfo.tiny
-        unsure = np.flatnonzero(~((gap > bound) & (gap < np.inf)))
+        gap = runner - best
+        sure = (gap > bound) & (gap < np.inf)
+        # The bounds: x_norm2, d squares summed, errs by at most d*u*s^2,
+        # so the exact |x - c|^2 lies within (2d+1)*u*s^2 of the screen
+        # value plus x_norm2, and the two additions below err by at most
+        # about 4*u*s^2 more (every term is at most s^2 in size).  bound,
+        # 16*(d+3)*u*s^2, exceeds that sum by more than 50*u*s^2 >=
+        # 50*u*|x - c|^2, so the squares below bound the exact ones with a
+        # relative 50*u to spare, which the square roots' rounding (u/2)
+        # cannot undo.
+        upper = np.sqrt(best + x_norm2 + bound)
+        lower = np.sqrt(np.maximum(runner + x_norm2 - bound, 0.0))
+    unsure = np.flatnonzero(~sure)
     if unsure.size:
         assign[unsure] = np.argmin(_sq_dists(inputs[unsure], centers), axis=1)
-    return assign
+        upper[unsure] = np.inf
+        lower[unsure] = 0.0
+    return assign, upper, lower
 
 
 def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -222,21 +299,30 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
     Deterministic per seed.  Runs at most 100 Lloyd iterations, stopping
     early once the relative center movement drops below 1e-6.  Each
     iteration assigns a row to the center with the smallest directly
-    summed squared distance (the lowest index on ties).  A GEMM screen,
-    |c|^2 - 2 x.c, settles every row whose nearest center it can
-    prove within a dot-product rounding bound; the other rows are
-    rechecked with the direct sums, so the assignments, and the centers,
-    are those of the direct computation bit for bit.
+    summed squared distance (the lowest index on ties), computed only
+    where it can have changed.  Each row keeps an upper bound on its
+    exact distance to its assigned center and a lower bound on its
+    distance to every other one (Hamerly 2010).  The bounds come from a
+    GEMM screen, |c|^2 - 2 x.c, which settles every row whose nearest
+    center it can prove within a dot-product rounding bound; the other
+    rows are rechecked with the direct sums.  Each iteration widens a
+    row's bounds by how far the centers moved, and a row goes back
+    through the screen only when its lower bound no longer clears its
+    upper one by the margin below.  So the assignments, and the centers,
+    are those of the direct computation bit for bit.  The seeding's
+    distances and the rechecks go through _sq_dists, whose column-wise
+    kernel (numpy's row-sum order, from 1024 distances per call at d <= 24)
+    keeps numpy's bits too.
     """
     inputs = _check_inputs(inputs)
-    n = inputs.shape[0]
+    n, d = inputs.shape
     if not (1 <= m <= n):
         raise ConfigError(f"need 1 <= m <= {n} centers, got {m}")
     rng = default_rng([seed, 0xC3])
 
-    centers = np.empty((m, inputs.shape[1]))
+    centers = np.empty((m, d))
     centers[0] = inputs[rng.integers(n)]
-    sq = np.sum((inputs - centers[0]) ** 2, axis=1)
+    sq = _sq_dists(inputs, centers[:1])[:, 0]
     for j in range(1, m):
         total = float(sq.sum())
         if total <= 0.0:
@@ -244,19 +330,43 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
             centers[j] = inputs[rng.integers(n)]
         else:
             centers[j] = inputs[np.searchsorted(np.cumsum(sq / total), rng.random())]
-        sq = np.minimum(sq, np.sum((inputs - centers[j]) ** 2, axis=1))
+        sq = np.minimum(sq, _sq_dists(inputs, centers[j:j + 1])[:, 0])
 
+    # Skip rule.  With U >= the exact distance to the assigned center a
+    # and L <= the exact distance to every other center j, the direct sums
+    # D of d squares of rounded differences, all terms nonnegative, lie
+    # within a relative (d+2)*u of the exact squares (u = eps/2), give or
+    # take d*u*tiny from squares that underflow.  So D_a < D_j, and the
+    # direct argmin is a, once L^2*(1 - (d+2)*u) > U^2*(1 + (d+2)*u) +
+    # 2*d*u*tiny.  The test L > U*(1 + (d+3)*eps) + sqrt(tiny) implies
+    # that: squared, its factor is 1 + 4*(d+3)*u against the
+    # 1 + 2*(d+2)*u + O(u^2) needed, which leaves room for the rounding of
+    # its own product and sum, and sqrt(tiny)^2 = tiny > 2*d*u*tiny.  An
+    # upper bound from 2^510 up could let D_a overflow and tie with an
+    # overflowed D_j, so it proves nothing; nor does a NaN or inf one,
+    # since every comparison with NaN, and inf > inf, is false.
+    eps = np.finfo(np.float64).eps
+    slack = 1.0 + (d + 3) * eps
+    sqrt_tiny = math.sqrt(np.finfo(np.float64).tiny)
+    columns = np.ascontiguousarray(inputs.T)  # bincount reads contiguous weights
     with np.errstate(over="ignore"):  # an overflowed norm sends its row to the recheck
         x_norm2 = np.sum(inputs ** 2, axis=1)
+    screen_rows = max(1, _SCREEN_BLOCK // m)
+    assign = np.zeros(n, dtype=np.intp)
+    upper, lower = np.full(n, np.inf), np.zeros(n)  # unproved: the first pass screens every row
     for _ in range(_KMEANS_MAX_ITER):
-        assign = _nearest_center(inputs, x_norm2, centers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            proved = (lower > upper * slack + sqrt_tiny) & (upper < 2.0 ** 510)
+        redo = np.flatnonzero(~proved)
+        for start in range(0, redo.size, screen_rows):
+            rows = redo[start:start + screen_rows]
+            assign[rows], upper[rows], lower[rows] = _nearest_center(
+                inputs[rows], x_norm2[rows], centers)
         # bincount adds each cluster's rows in row order, so sum / count
         # has the same bits as the mean of the cluster's member rows
         counts = np.bincount(assign, minlength=m)
         new_centers = np.column_stack([
-            np.bincount(assign, weights=inputs[:, k], minlength=m)
-            for k in range(inputs.shape[1])
-        ])
+            np.bincount(assign, weights=column, minlength=m) for column in columns])
         filled = counts > 0
         new_centers[filled] /= counts[filled, None]
         empty = np.flatnonzero(~filled)
@@ -265,11 +375,26 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
             # points not already taken
             worst = np.argsort(np.sum((inputs - centers[assign]) ** 2, axis=1))[::-1]
             new_centers[empty] = inputs[worst[:empty.size]]
-        shift = float(np.linalg.norm(new_centers - centers))
+        moves = new_centers - centers
+        shift = float(np.linalg.norm(moves))
         scale = float(np.linalg.norm(centers)) + 1e-12
         centers = new_centers
         if shift / scale < _KMEANS_REL_TOL:
             break
+        # Each center's move, as an upper bound on the exact one: the
+        # rounded differences, squares, sum and root fall short of it by
+        # at most a relative (d+2)*u; the factor covers that and the
+        # rounding of its own product and sum, sqrt(tiny) the squares that
+        # underflow.  The triangle inequality then moves the bounds.  Each
+        # rounded sum is off by at most a relative u, and the factors
+        # 1 +- 2*eps = 1 +- 4*u, rounded too, push it past that outward, so
+        # the bounds stay bounds (a negative lower bound still is one).
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = np.sqrt(np.sum(moves ** 2, axis=1)) * slack + sqrt_tiny
+            upper += moved[assign]
+            upper *= 1.0 + 2.0 * eps
+            lower -= moved.max()
+            lower *= 1.0 - 2.0 * eps
     return centers
 
 

@@ -324,9 +324,10 @@ def test_fit_degree_monotone_on_training_sse():
     (np.ones(3), 10 ** 400, "lambda"),
     (np.ones(3), True, "lambda"),
     (np.ones(3), np.True_, "lambda"),
+    ([10 ** 400, 0, 0], 0.0, "weights must be finite"),
 ], ids=["short", "two-dimensional", "nan-weight", "inf-weight", "negative-lambda",
         "nan-lambda", "inf-lambda", "int-past-float-lambda", "boolean-lambda",
-        "numpy-boolean-lambda"])
+        "numpy-boolean-lambda", "int-past-float-weight"])
 def test_model_checks_itself(weights, ridge_lambda, match):
     with pytest.raises(DataError, match=match):
         PolynomialModel(enumerate_monomials(2, 1), weights, ridge_lambda)

@@ -167,8 +167,11 @@ def test_centers_byte_equal_to_mask_loop_lloyd():
     # the screen and the direct sums both overflow to inf
     huge = spread * 1e160
     revived = 0
+    # a random walk's windows at the level of a price: most rows keep their
+    # center from one iteration to the next, so bounds settle them
+    walk = 1000.0 + np.cumsum(rng.standard_normal(5007))[np.arange(5000)[:, None] + np.arange(8)]
     for pts, m, seed in ((spread, 12, 0), (spread, 1, 1), (repeats, 10, 1),
-                         (offset, 12, 0), (lattice, 9, 2)):
+                         (offset, 12, 0), (lattice, 9, 2), (walk, 36, 0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # init_centers warns on none of these
             got = init_centers(pts, m, seed=seed)
@@ -182,6 +185,30 @@ def test_centers_byte_equal_to_mask_loop_lloyd():
         for pts, m, seed in ((far, 12, 0), (huge, 10, 3)):
             want, _ = mask_loop_init_centers(pts, m, seed)
             assert init_centers(pts, m, seed=seed).tobytes() == want.tobytes()
+
+
+def test_bounded_lloyd_skips_rows_it_can_prove(monkeypatch):
+    # a walk's windows: after the first iterations most rows keep their
+    # center, and their bounds prove it without a screen
+    rng = np.random.default_rng(8)
+    pts = 1000.0 + np.cumsum(rng.standard_normal(3007))[np.arange(3000)[:, None] + np.arange(8)]
+    screened = []
+    nearest = rbf._nearest_center
+
+    def counting(inputs, *args):
+        screened.append(inputs.shape[0])
+        return nearest(inputs, *args)
+
+    monkeypatch.setattr(rbf, "_nearest_center", counting)
+    monkeypatch.setattr(rbf, "_SCREEN_BLOCK", 36 * pts.shape[0])  # one screen per iteration
+    got = init_centers(pts, 36, seed=0)
+    n = pts.shape[0]
+    assert screened[0] == n and len(screened) > 10
+    # every later iteration skips rows, and together they screen under a third
+    assert max(screened[1:]) < n
+    assert sum(screened[1:]) < (len(screened) - 1) * n / 3
+    monkeypatch.undo()
+    assert got.tobytes() == mask_loop_init_centers(pts, 36, 0)[0].tobytes()
 
 
 # -------------------------------------------------------------------- widths
@@ -301,6 +328,33 @@ def test_blocked_activations_byte_equal_to_direct_expression():
     assert batch_forward(net, x).tobytes() == (phi @ net.out_weights + net.bias).tobytes()
 
 
+def _sq_dists_cases():
+    """(d, n, M): every d from 1 to 24, 25 (above the kernel's largest d)
+    and 129 (above numpy's pairwise block of 128), each with M = 1 and
+    M = 36 and with n * M just below the kernel's element threshold, just
+    above it, and over several of its blocks."""
+    low = rbf._COLUMN_MIN_ELEMS
+    for d in list(range(1, 25)) + [25, 129]:
+        for m in (1, 36):
+            for n in (max(1, (low - 1) // m), low // m + 1, 3 * rbf._COLUMN_BLOCK // m + 5):
+                yield d, n, m
+
+
+@pytest.mark.parametrize("d, n, m", list(_sq_dists_cases()))
+def test_sq_dists_byte_equal_to_broadcast_sum(d, n, m):
+    rng = np.random.default_rng([d, n, m])
+    # magnitudes from 1e-3 to 1e3, and a few entries near 1e200 whose
+    # squares overflow to inf
+    a = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+    b = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, (m, d))
+    a[rng.integers(n, size=3), rng.integers(d, size=3)] = 1e200
+    with np.errstate(over="ignore"):
+        want = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        got = rbf._sq_dists(a, b)
+    assert np.isinf(want).any() and not np.isnan(want).any()
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------- forward
 
 def test_forward_zero_weights_is_bias():
@@ -361,6 +415,15 @@ def test_network_validation():
     with pytest.raises(DataError, match="out_weights and bias must be finite"):
         RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(2),
                    out_weights=np.zeros(2), bias=np.inf)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"centers": [[10 ** 400]], "bias": 0.0}, "centers must be finite"),
+    ({"centers": [[0.0]], "bias": 10 ** 400}, "out_weights and bias must be finite"),
+], ids=["center", "bias"])
+def test_network_refuses_ints_past_float_range(fields, match):
+    with pytest.raises(DataError, match=match):
+        RbfNetwork(widths=[1.0], out_weights=[0.0], **fields)
 
 
 # ------------------------------------------------------------------ training
