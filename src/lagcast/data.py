@@ -22,6 +22,31 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
+def float_array(values, what: str, ndim: int | None = None, error: type = DataError) -> np.ndarray:
+    """values as float64: the one place a caller's numbers are converted and checked.
+
+    Text, or what numpy cannot convert (a Python int past float range, a
+    ragged list), raises `error`.  With ndim, so does an array of another
+    dimension count, an empty one, or one holding NaN or an infinity; the
+    message names `what` and the first such entry's index.
+    """
+    try:
+        if isinstance(values, (str, bytes)):  # numpy would parse "1.5" as a number
+            raise TypeError
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be numbers within float range") from None
+    if ndim is None:
+        return array
+    if array.ndim != ndim or array.size == 0:
+        raise error(f"{what} must be " + (f"a non-empty {ndim}-D array" if ndim else "a number"))
+    if not np.isfinite(array).all():
+        bad = tuple(np.argwhere(~np.isfinite(array))[0].tolist())
+        at = f" at index {bad[0] if ndim == 1 else bad}" if ndim else ""
+        raise error(f"{what} must be finite, got {array[bad]}{at}")
+    return array
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A named 1-D series of float64 values, oldest first."""
@@ -30,13 +55,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size < 1:
-            raise DataError(f"series {self.name!r} must be a non-empty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise DataError(f"series {self.name!r} has a non-finite value at index {bad}")
-        object.__setattr__(self, "values", vals)
+        values = float_array(self.values, f"series {self.name!r}", ndim=1)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -51,8 +71,8 @@ class WindowedDataset:
     targets: np.ndarray  # shape (N,)
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+        inputs = float_array(self.inputs, "inputs")
+        targets = float_array(self.targets, "targets")
         if self.window_d < 1:
             raise DataError("window_d must be >= 1")
         if inputs.ndim != 2 or inputs.shape[1] != self.window_d:
@@ -171,15 +191,6 @@ MODEL_LAYOUTS = {"a polynomial": {"exponents": (2, int), "d": (0, int), "K": (0,
                             "out_weights": (1, float), "bias": (0, float)}}
 
 
-def float_array(values, message: str) -> np.ndarray:
-    """values as a float64 array, for a model record; a Python int past
-    float range, which numpy refuses to convert, is DataError(message)."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        raise DataError(message) from None
-
-
 def write_model_document(fields: dict) -> str:
     """A model document: schema_version, then each field as nested JSON numbers."""
     return json.dumps({"schema_version": MODEL_SCHEMA_VERSION,
@@ -254,8 +265,7 @@ def _check_common(n: int, seed: int, noise_sd: float, **floats):
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     for name, value in {"noise_sd": noise_sd, **floats}.items():
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"{name} must be finite, got {value}")
+        float_array(value, name, ndim=0, error=ConfigError)
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
 
@@ -298,10 +308,8 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
     The first len(coeffs) values are standard-normal draws from the seed,
     after which value_i = sum_k coeffs[k] * value_{i-1-k} + gaussian(0, noise_sd).
     """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs:
-        raise ConfigError("coeffs must be non-empty")
-    _check_common(n, seed, noise_sd, coeffs=coeffs)
+    coeffs = float_array(coeffs, "coeffs", ndim=1, error=ConfigError).tolist()
+    _check_common(n, seed, noise_sd)
     p = len(coeffs)
     if n <= p:
         raise ConfigError(f"n={n} must exceed the AR order {p}")

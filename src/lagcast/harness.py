@@ -22,7 +22,7 @@ import numpy as np
 
 from . import polynomial as poly
 from . import rbf
-from .data import TimeSeries, WindowedDataset, load_csv, make_windows, synth_ar, \
+from .data import TimeSeries, WindowedDataset, float_array, load_csv, make_windows, synth_ar, \
     synth_random_walk, synth_seasonal
 from .errors import ConfigError, DataError, DegenerateSampleError, FitError, \
     UndefinedMetricError
@@ -104,8 +104,8 @@ class ExperimentConfig:
             raise ConfigError(f"degrees must be a non-empty list of positive ints, got {self.degrees}")
         if len(set(self.degrees)) < len(self.degrees):
             raise ConfigError(f"degrees must not repeat, got {self.degrees}")
-        if not 0.0 <= self.ridge_lambda < math.inf:
-            raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
+        if float_array(self.ridge_lambda, "ridge_lambda", ndim=0, error=ConfigError) < 0:
+            raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):

@@ -9,6 +9,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .data import float_array
 from .errors import DataError, UndefinedMetricError
 
 T = TypeVar("T")
@@ -19,16 +20,10 @@ _MEAN_FLOOR = 1e-12
 
 def _paired(observed, predicted) -> tuple[np.ndarray, np.ndarray]:
     """The one check of paired inputs, for these metrics and stats' paired tests."""
-    obs = np.asarray(observed, dtype=np.float64)
-    pred = np.asarray(predicted, dtype=np.float64)
-    if obs.ndim != 1 or pred.ndim != 1:
-        raise DataError("paired inputs must be 1-D vectors")
+    obs = float_array(observed, "paired inputs", ndim=1)
+    pred = float_array(predicted, "paired inputs", ndim=1)
     if obs.size != pred.size:
         raise DataError(f"paired inputs differ in length: {obs.size} vs {pred.size}")
-    if obs.size == 0:
-        raise DataError("paired inputs need at least one pair")
-    if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(pred))):
-        raise DataError("paired inputs must be finite")
     return obs, pred
 
 

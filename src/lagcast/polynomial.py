@@ -9,7 +9,6 @@ is no iterative training loop.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,7 +77,8 @@ def enumerate_monomials(d: int, k: int) -> MonomialBasis:
 
 
 def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -> np.ndarray:
-    """Evaluate every basis monomial on every input row.
+    """Evaluate every basis monomial on every row of a float64 (N, d) array,
+    such as a WindowedDataset's inputs.
 
     A column is the product of its factors, lags[j] ** p for each lag j
     with a nonzero exponent p, taken in ascending lag order, as the
@@ -100,7 +100,6 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
     keeps the row-major default: its matrix-vector product has the
     bits of a row-major design.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if inputs.shape[1] != basis.window_d:
         raise DataError(
             f"inputs have {inputs.shape[1]} lags, basis expects {basis.window_d}"
@@ -134,14 +133,12 @@ class PolynomialModel:
     ridge_lambda: float
 
     def __post_init__(self):
-        weights = float_array(self.weights, "model weights must be finite")
+        weights = float_array(self.weights, "model weights", ndim=1)
         if weights.shape != (self.basis.count,):
             raise DataError(f"model weights have shape {weights.shape}, not ({self.basis.count},)")
-        if not np.all(np.isfinite(weights)):
-            raise DataError("model weights must be finite")
-        lam = self.ridge_lambda  # a document holds no boolean, nor an int past float range
-        if isinstance(lam, (bool, np.bool_)) or not 0.0 <= lam <= sys.float_info.max:
-            raise DataError(f"model lambda must be a finite number >= 0, got {lam}")
+        lam = self.ridge_lambda  # a document holds no boolean
+        if isinstance(lam, (bool, np.bool_)) or float_array(lam, "model lambda", ndim=0) < 0:
+            raise DataError(f"model lambda must be a number >= 0, got {lam}")
         object.__setattr__(self, "weights", weights)
 
 
@@ -160,9 +157,13 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
     solution predicts identically on the training span.  A basis of more
     than DEFAULT_BASIS_CAP terms is a ConfigError.
     """
-    if not 0.0 <= ridge_lambda < math.inf:
-        raise FitError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
+    lam = float(float_array(ridge_lambda, "ridge_lambda", ndim=0, error=FitError))
+    if lam < 0:
+        raise FitError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     basis = enumerate_monomials(data.window_d, degree_k)
+    # a NaN window would otherwise surface as an overflowed design below
+    float_array(data.inputs, "training windows", ndim=2)
+    float_array(data.targets, "training targets", ndim=1)
     m = _design_matrix(basis, data.inputs, order="F")
     if not np.all(np.isfinite(m)):
         raise FitError(
@@ -170,8 +171,8 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
             "rescale the series or lower the degree"
         )
     t = data.targets
-    if ridge_lambda > 0:
-        m = np.concatenate([m, math.sqrt(ridge_lambda) * np.eye(basis.count)],
+    if lam > 0:
+        m = np.concatenate([m, math.sqrt(lam) * np.eye(basis.count)],
                            out=np.empty((len(data) + basis.count, basis.count), order="F"))
         t = np.concatenate([t, np.zeros(basis.count)])
     w, _, rank, _ = np.linalg.lstsq(m, t, rcond=None)
@@ -184,7 +185,7 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
         )
     if not np.all(np.isfinite(w)):
         raise FitError(f"fit for degree {degree_k} produced non-finite weights")
-    return PolynomialModel(basis=basis, weights=w, ridge_lambda=float(ridge_lambda))
+    return PolynomialModel(basis=basis, weights=w, ridge_lambda=lam)
 
 
 def rolling_forecast(model: PolynomialModel, test: WindowedDataset) -> np.ndarray:

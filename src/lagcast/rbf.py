@@ -12,12 +12,9 @@ worst-predicted training window until a target MSE or a unit budget is
 reached.
 
 Every squared distance has the bits of numpy's own row sum,
-np.sum((x - c) ** 2), whichever way it is computed.  From 1024 distances
-per call, at windows of up to 24 lags, _sq_dists makes those sums
-column by column in numpy's order (a running sum below 8 lags, eight
-strided accumulators from 8), which skips numpy's per-row loop overhead.
-k-means (init_centers) keeps per-row distance bounds and re-screens only
-the rows whose bounds, widened by each iteration's center moves and a
+np.sum((x - c) ** 2), whichever way _sq_dists computes it.  k-means
+(init_centers) keeps per-row distance bounds and re-screens only the
+rows whose bounds, widened by each iteration's center moves and a
 rounding margin, no longer prove their nearest center.
 """
 
@@ -40,16 +37,11 @@ _KMEANS_REL_TOL = 1e-6
 # rows per block: of _sq_dists' broadcast (block, M, d) temporary, and of
 # train's gathers of shuffled activations (rounded down to whole batches)
 _ROW_BLOCK = 512
-# _sq_dists' column-wise kernel makes numpy's row sums (a running sum
-# below d 8, eight strided accumulators from d 8; its docstring has the
-# detail) plane by plane, from 1024 output elements (n * M) up and for
-# d <= 24, on blocks of 8192 output elements.  Measured against
-# the broadcast form on 16k rows at d 8: 8.4 against 20.8 ms with 36
-# centers, 0.16 against 0.58 ms with one.  For d <= 24 the two cross
+# where _sq_dists' column-wise kernel takes over from the broadcast form,
+# and its block.  Measured on 16k rows at d 8: 8.4 against 20.8 ms with
+# 36 centers, 0.16 against 0.58 ms with one.  For d <= 24 the two cross
 # between 300 and 1200 elements; above d 24 the kernel gains less with 36
-# centers and loses with one (d 32: 1.6 against 1.1 ms).  init_centers'
-# Lloyd iterations skip each row whose bounds prove its nearest center
-# (the rule is derived there) and send the rest through _nearest_center.
+# centers and loses with one (d 32: 1.6 against 1.1 ms).
 _COLUMN_MIN_ELEMS = 1024
 _COLUMN_MAX_D = 24
 _COLUMN_BLOCK = 8192
@@ -73,21 +65,15 @@ class RbfNetwork:
     bias: float
 
     def __post_init__(self):
-        finite = "out_weights and bias must be finite"
-        centers = float_array(self.centers, "centers must be finite")
-        widths = float_array(self.widths, "widths must be finite and strictly positive")
-        weights = float_array(self.out_weights, finite)
-        if centers.ndim != 2 or min(centers.shape) < 1:
-            raise DataError("centers must be a non-empty (M, d) array")
+        centers = float_array(self.centers, "centers", ndim=2)
+        widths = float_array(self.widths, "widths", ndim=1)
+        weights = float_array(self.out_weights, "out_weights", ndim=1)
+        float_array(self.bias, "bias", ndim=0)
         m = centers.shape[0]
         if widths.shape != (m,) or weights.shape != (m,):
             raise DataError("widths and out_weights must have one entry per center")
-        if not np.all(np.isfinite(centers)):
-            raise DataError("centers must be finite")
-        if not (np.all(np.isfinite(widths)) and np.all(widths > 0)):
-            raise DataError("widths must be finite and strictly positive")
-        if not (np.all(np.isfinite(weights)) and np.isfinite(float_array(self.bias, finite))):
-            raise DataError(finite)
+        if not np.all(widths > 0):
+            raise DataError("widths must be strictly positive")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "out_weights", weights)
@@ -130,11 +116,10 @@ class RbfTrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.target_mse is not None and not 0.0 < self.target_mse < math.inf:
-            raise ConfigError(f"target_mse must be finite and positive, got {self.target_mse}")
+        for name in ("learning_rate", "target_mse"):
+            value = getattr(self, name)
+            if value is not None and not float_array(value, name, ndim=0, error=ConfigError) > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.max_units is not None and self.max_units < 1:
             raise ConfigError(f"max_units must be >= 1, got {self.max_units}")
         if (self.target_mse is None) != (self.max_units is None):
@@ -155,22 +140,11 @@ class TrainTrace:
         return int(self.epoch_mse.size)
 
 
-def _check_inputs(inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] < 1:
-        raise DataError("inputs must be a non-empty (N, d) array")
-    if not np.all(np.isfinite(inputs)):
-        raise DataError("training data must be finite")
-    return inputs
-
-
 def _check_training_data(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    inputs = _check_inputs(inputs)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (inputs.shape[0],):
-        raise DataError("targets must be 1-D with one entry per input row")
-    if not np.all(np.isfinite(targets)):
-        raise DataError("training data must be finite")
+    inputs = float_array(inputs, "training inputs", ndim=2)
+    targets = float_array(targets, "training targets", ndim=1)
+    if targets.shape != inputs.shape[:1]:
+        raise DataError("training targets must have one entry per input row")
     return inputs, targets
 
 
@@ -310,11 +284,10 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
     through the screen only when its lower bound no longer clears its
     upper one by the margin below.  So the assignments, and the centers,
     are those of the direct computation bit for bit.  The seeding's
-    distances and the rechecks go through _sq_dists, whose column-wise
-    kernel (numpy's row-sum order, from 1024 distances per call at d <= 24)
-    keeps numpy's bits too.
+    distances and the rechecks go through _sq_dists, which keeps numpy's
+    bits too.
     """
-    inputs = _check_inputs(inputs)
+    inputs = float_array(inputs, "training inputs", ndim=2)
     n, d = inputs.shape
     if not (1 <= m <= n):
         raise ConfigError(f"need 1 <= m <= {n} centers, got {m}")
@@ -403,21 +376,22 @@ def set_widths(centers: np.ndarray, scale: float) -> np.ndarray:
 
     With a single center, or where duplicate centers make the mean
     distance zero, the width falls back to scale (the training pipelines
-    pass the spread of the inputs), floored at 1e-6.  Widths are never
-    zero or NaN.
+    pass the spread of the inputs), floored at 1e-6.  Non-finite centers
+    or scale are a DataError, so widths are never zero or NaN; a center
+    whose nearest peers lie more than about 1.3e154 away gets an infinite
+    one.
     """
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise DataError("centers must be a non-empty (M, d) array")
+    centers = float_array(centers, "centers", ndim=2)
+    scale = float(float_array(scale, "scale", ndim=0))
     m = centers.shape[0]
     if m == 1:
         widths = np.zeros(1)
     else:
-        dist = np.sqrt(np.maximum(_sq_dists(centers, centers), 0.0))
+        dist = np.sqrt(_sq_dists(centers, centers))
         np.fill_diagonal(dist, np.inf)
         nearest = np.sort(dist, axis=1)[:, :min(2, m - 1)]
         widths = nearest.mean(axis=1)
-    return np.where(widths > 0, widths, max(_MIN_WIDTH, float(scale)))
+    return np.where(widths > 0, widths, max(_MIN_WIDTH, scale))
 
 
 def _activation_matrix(centers: np.ndarray, widths: np.ndarray,
@@ -436,7 +410,7 @@ def batch_forward(net: RbfNetwork, inputs: np.ndarray) -> np.ndarray:
     Each output is the weighted hidden activations plus the bias; a
     single window is forecast as a (1, d) array.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    inputs = np.atleast_2d(float_array(inputs, "inputs"))
     if inputs.shape[1] != net.window_d:
         raise DataError(f"expected windows of {net.window_d} values, got {inputs.shape[1]}")
     return _activation_matrix(net.centers, net.widths, inputs) @ net.out_weights + net.bias
@@ -513,7 +487,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
     m = net.n_units
     n = inputs.shape[0]
     bs = config.batch_size
-    lr = np.array(config.learning_rate)
+    lr = float_array(config.learning_rate, "learning_rate")
 
     phi = _activation_matrix(net.centers, net.widths, inputs)
     params = np.zeros(m + 1)

@@ -13,6 +13,7 @@ from lagcast import rbf
 from lagcast.data import (
     TimeSeries,
     WindowedDataset,
+    float_array,
     load_csv,
     make_windows,
     read_model_document,
@@ -20,8 +21,10 @@ from lagcast.data import (
     synth_random_walk,
     synth_seasonal,
 )
-from lagcast.errors import ConfigError, DataError
-from lagcast.harness import windowed_split
+from lagcast.errors import ConfigError, DataError, FitError
+from lagcast.harness import ExperimentConfig, SynthSource, run_degree_sweep, windowed_split
+from lagcast.metrics import cv_rmse, mae, metric_report, rmse
+from lagcast.stats import paired_t_test, wilcoxon_signed_rank
 
 
 def series(values, name="s"):
@@ -47,6 +50,109 @@ def test_timeseries_rejects_2d():
 
 def test_timeseries_len():
     assert len(series([1, 2, 3])) == 3
+
+
+# ------------------------------------------------ float_array, the one intake
+
+@pytest.mark.parametrize("values, ndim, message", [
+    (10 ** 400, None, "x must be numbers within float range"),
+    ([1.0, 10 ** 400], 1, "x must be numbers within float range"),
+    ([[1.0, 2.0], [3.0]], 2, "x must be numbers within float range"),
+    ("1.5", 0, "x must be numbers within float range"),
+    ([1.0, 2.0], 0, "x must be a number"),
+    ([1.0, 2.0], 2, "x must be a non-empty 2-D array"),
+    (np.zeros((3, 0)), 2, "x must be a non-empty 2-D array"),
+    ([1.0, math.inf, math.nan], 1, "x must be finite, got inf at index 1"),
+    ([[0.0, 1.0], [math.nan, 2.0]], 2, r"x must be finite, got nan at index \(1, 0\)"),
+    (None, 0, "x must be finite, got nan$"),
+], ids=["int-past-float", "int-past-float-entry", "ragged", "text", "not-a-number",
+        "wrong-ndim", "empty", "inf-entry", "nan-entry-2-d", "none"])
+def test_float_array_refusals(values, ndim, message):
+    with pytest.raises(ConfigError, match=message):
+        float_array(values, "x", ndim=ndim, error=ConfigError)
+
+
+def test_float_array_converts_without_checks_when_ndim_is_none():
+    got = float_array([[1, math.inf]], "x")
+    assert got.dtype == np.float64 and got.tolist() == [[1.0, math.inf]]
+    same = np.arange(3.0)
+    assert float_array(same, "x", ndim=1) is same
+
+
+_X = np.random.default_rng(5).standard_normal((12, 2))
+_Y = np.random.default_rng(6).standard_normal(12)
+
+
+def _with_huge(a, index):
+    """a as nested lists, with the Python int 10**400 at index."""
+    a = a.tolist()
+    if isinstance(index, tuple):
+        a[index[0]][index[1]] = 10 ** 400
+    else:
+        a[index] = 10 ** 400
+    return a
+
+
+def _sweep_config(**fields):
+    return ExperimentConfig(source=SynthSource("seasonal", n=120, params={"noise_sd": 0.1}),
+                            degrees=(1,), **fields)
+
+
+_NET = rbf.RbfNetwork(centers=np.zeros((1, 2)), widths=np.ones(1), out_weights=np.ones(1),
+                      bias=0.0)
+_CFG = rbf.RbfTrainConfig(units=2, epochs=1)
+_PAIR = [1.0, 2.0, 4.0]
+
+# every entry point that takes a caller's numbers, given the Python int 10**400
+_HUGE_INT_CASES = {
+    "TimeSeries": (DataError, lambda: TimeSeries("s", [0.0, 10 ** 400])),
+    "WindowedDataset": (DataError, lambda: WindowedDataset(1, [[0.0], [1.0]], [1.0, 10 ** 400])),
+    "synth_seasonal-amplitude": (ConfigError, lambda: synth_seasonal(48, amplitude=10 ** 400,
+                                                                     seed=0)),
+    "synth_seasonal-trend": (ConfigError, lambda: synth_seasonal(48, trend=10 ** 400, seed=0)),
+    "synth_random_walk-drift": (ConfigError, lambda: synth_random_walk(8, drift=10 ** 400,
+                                                                       seed=0)),
+    "synth_random_walk-noise_sd": (ConfigError, lambda: synth_random_walk(8, noise_sd=10 ** 400,
+                                                                          seed=0)),
+    "synth_ar-coeffs": (ConfigError, lambda: synth_ar((0.5, 10 ** 400), n=8, seed=0)),
+    "RbfNetwork-widths": (DataError, lambda: rbf.RbfNetwork(
+        centers=[[0.0]], widths=[10 ** 400], out_weights=[0.0], bias=0.0)),
+    "RbfNetwork-out_weights": (DataError, lambda: rbf.RbfNetwork(
+        centers=[[0.0]], widths=[1.0], out_weights=[10 ** 400], bias=0.0)),
+    "RbfTrainConfig-learning_rate": (ConfigError, lambda: rbf.RbfTrainConfig(
+        learning_rate=10 ** 400)),
+    "RbfTrainConfig-target_mse": (ConfigError, lambda: rbf.RbfTrainConfig(
+        target_mse=10 ** 400, max_units=8)),
+    "init_centers": (DataError, lambda: rbf.init_centers(_with_huge(_X, (3, 1)), 2, seed=0)),
+    "set_widths-centers": (DataError, lambda: rbf.set_widths([[0.0], [10 ** 400]], 1.0)),
+    "set_widths-scale": (DataError, lambda: rbf.set_widths([[0.0]], 10 ** 400)),
+    "batch_forward": (DataError, lambda: rbf.batch_forward(_NET, [[0.0, 10 ** 400]])),
+    "fit_fixed-inputs": (DataError, lambda: rbf.fit_fixed(_with_huge(_X, (0, 0)), _Y, _CFG)),
+    "fit_fixed-targets": (DataError, lambda: rbf.fit_fixed(_X, _with_huge(_Y, 2), _CFG)),
+    "train": (DataError, lambda: rbf.train(_X, _with_huge(_Y, 2), np.zeros((1, 2)), np.ones(1),
+                                           _CFG)),
+    "grow_until_target": (DataError, lambda: rbf.grow_until_target(
+        _with_huge(_X, (5, 0)), _Y, rbf.RbfTrainConfig(target_mse=0.1, max_units=4))),
+    "loss_gradient": (DataError, lambda: rbf.loss_gradient(_NET, _X, _with_huge(_Y, 0))),
+    "poly.fit-ridge_lambda": (FitError, lambda: poly.fit(
+        make_windows(TimeSeries("s", np.arange(10.0)), 2), 1, ridge_lambda=10 ** 400)),
+    "mae": (DataError, lambda: mae(_PAIR, [1.0, 10 ** 400, 3.0])),
+    "rmse": (DataError, lambda: rmse([10 ** 400, 1.0, 3.0], _PAIR)),
+    "cv_rmse": (DataError, lambda: cv_rmse(_PAIR, [10 ** 400, 1.0, 3.0])),
+    "metric_report": (DataError, lambda: metric_report(_PAIR, [10 ** 400, 1.0, 3.0])),
+    "paired_t_test": (DataError, lambda: paired_t_test(_PAIR, [10 ** 400, 1.0, 3.0])),
+    "wilcoxon_signed_rank": (DataError, lambda: wilcoxon_signed_rank(
+        _PAIR, [10 ** 400, 1.0, 3.0])),
+    "ExperimentConfig-sweep": (ConfigError, lambda: run_degree_sweep(
+        _sweep_config(ridge_lambda=10 ** 400))),
+}
+
+
+@pytest.mark.parametrize("case", _HUGE_INT_CASES)
+def test_an_int_past_float_range_is_refused_with_the_sites_error(case):
+    error, call = _HUGE_INT_CASES[case]
+    with pytest.raises(error, match="within float range"):
+        call()
 
 
 # ------------------------------------------------------------------ load_csv

@@ -1,11 +1,13 @@
 """Every name a lagcast module imports is used in that module, every
-module it imports is in the standard library or is numpy, and every
+module it imports is in the standard library or is numpy, only
+data.float_array converts a caller's numbers to float, and every
 lagcast name the benchmark in perfbench/ calls exists."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -61,6 +63,45 @@ def test_scan_flags_a_foreign_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+# ----------------------------------------------- one intake for float arrays
+
+FLOAT_DTYPE = re.compile(r"float|double|^['\"][fd]")
+
+
+def float_conversions(source: str) -> list[int]:
+    """Lines of np.asarray or np.array calls given a float dtype, outside a
+    function named float_array."""
+    found = []
+
+    def visit(node, inside):
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == "float_array"
+        if (not inside and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array")
+                and getattr(node.func.value, "id", None) in ("np", "numpy")):
+            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(FLOAT_DTYPE.search(ast.unparse(dtype)) for dtype in dtypes):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scan_flags_a_float_conversion():
+    source = ("import numpy as np\n"
+              "def float_array(v):\n    return np.asarray(v, dtype=np.float64)\n"
+              "def check(v):\n    a = np.asarray(v, dtype=np.float64)\n"
+              "    b = np.array(v, float)\n    c = np.asarray(v, dtype='f8')\n"
+              "    return np.asarray(v), np.array(v, dtype=np.intp), a, b, c\n")
+    assert float_conversions(source) == [5, 6, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_float_array_converts_to_float(path):
+    assert float_conversions(path.read_text()) == []
 
 
 # ------------------------------------------------ what the benchmark calls

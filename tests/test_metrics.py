@@ -138,7 +138,7 @@ def test_empty_is_an_error():
 
 
 def test_2d_is_an_error():
-    with pytest.raises(DataError, match="1-D vectors"):
+    with pytest.raises(DataError, match="paired inputs must be a non-empty 1-D array"):
         mae([[1.0, 2.0]], [[1.0, 2.0]])
 
 

@@ -269,6 +269,18 @@ def test_fit_overflow_is_a_fit_error():
         fit(data, degree_k=3)
 
 
+def test_fit_refuses_a_non_finite_window_as_data():
+    # NaN at row 0, lag 0 sits in no other row, so the dataset's overlap check passes it
+    data = WindowedDataset(2, np.array([[np.nan, 1.0], [1.0, 2.0], [2.0, 3.0]]),
+                           np.array([2.0, 3.0, 4.0]))
+    with pytest.raises(DataError,
+                       match=r"training windows must be finite, got nan at index \(0, 0\)"):
+        fit(data, degree_k=1)
+    last_target = WindowedDataset(2, data.inputs[1:], np.array([3.0, np.inf]))
+    with pytest.raises(DataError, match="training targets must be finite, got inf at index 1"):
+        fit(last_target, degree_k=1)
+
+
 def test_fit_deterministic_bit_identical():
     data = noisy_windows()
     w1 = fit(data, degree_k=2).weights
@@ -315,19 +327,20 @@ def test_fit_degree_monotone_on_training_sse():
 
 @pytest.mark.parametrize("weights, ridge_lambda, match", [
     (np.ones(2), 0.0, r"shape \(2,\), not \(3,\)"),
-    (np.ones((1, 3)), 0.0, r"shape \(1, 3\), not \(3,\)"),
-    (np.array([1.0, np.nan, 0.0]), 0.0, "weights must be finite"),
-    (np.array([1.0, np.inf, 0.0]), 0.0, "weights must be finite"),
+    (np.ones((1, 3)), 0.0, "model weights must be a non-empty 1-D array"),
+    (np.array([1.0, np.nan, 0.0]), 0.0, "model weights must be finite, got nan at index 1"),
+    (np.array([1.0, np.inf, 0.0]), 0.0, "model weights must be finite, got inf at index 1"),
     (np.ones(3), -1.0, "lambda"),
     (np.ones(3), float("nan"), "lambda"),
     (np.ones(3), float("inf"), "lambda"),
     (np.ones(3), 10 ** 400, "lambda"),
     (np.ones(3), True, "lambda"),
     (np.ones(3), np.True_, "lambda"),
-    ([10 ** 400, 0, 0], 0.0, "weights must be finite"),
+    (np.ones(3), "0.5", "model lambda must be numbers within float range"),
+    ([10 ** 400, 0, 0], 0.0, "model weights must be numbers within float range"),
 ], ids=["short", "two-dimensional", "nan-weight", "inf-weight", "negative-lambda",
         "nan-lambda", "inf-lambda", "int-past-float-lambda", "boolean-lambda",
-        "numpy-boolean-lambda", "int-past-float-weight"])
+        "numpy-boolean-lambda", "text-lambda", "int-past-float-weight"])
 def test_model_checks_itself(weights, ridge_lambda, match):
     with pytest.raises(DataError, match=match):
         PolynomialModel(enumerate_monomials(2, 1), weights, ridge_lambda)

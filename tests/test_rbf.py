@@ -255,6 +255,10 @@ def test_widths_validation():
         set_widths(np.zeros((0, 2)), 1.0)
     with pytest.raises(DataError):
         set_widths(np.zeros(3), 1.0)
+    with pytest.raises(DataError, match=r"centers must be finite, got nan at index \(1, 0\)"):
+        set_widths(np.array([[0.0], [np.nan]]), 1.0)
+    with pytest.raises(DataError, match="scale must be finite, got nan"):
+        set_widths(np.zeros((1, 1)), np.nan)
 
 
 # --------------------------------------------------------------- activations
@@ -406,20 +410,20 @@ def test_network_validation():
         RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(3),
                    out_weights=np.zeros(2), bias=0.0)
     # (M, 0) centers would forecast from empty windows
-    with pytest.raises(DataError, match=r"non-empty \(M, d\)"):
+    with pytest.raises(DataError, match="centers must be a non-empty 2-D array"):
         RbfNetwork(centers=np.zeros((2, 0)), widths=np.ones(2),
                    out_weights=np.array([1.0, 2.0]), bias=0.5)
-    with pytest.raises(DataError, match="out_weights and bias must be finite"):
+    with pytest.raises(DataError, match="out_weights must be finite, got nan at index 1"):
         RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(2),
                    out_weights=np.array([1.0, np.nan]), bias=0.0)
-    with pytest.raises(DataError, match="out_weights and bias must be finite"):
+    with pytest.raises(DataError, match="bias must be finite, got inf"):
         RbfNetwork(centers=np.zeros((2, 2)), widths=np.ones(2),
                    out_weights=np.zeros(2), bias=np.inf)
 
 
 @pytest.mark.parametrize("fields, match", [
-    ({"centers": [[10 ** 400]], "bias": 0.0}, "centers must be finite"),
-    ({"centers": [[0.0]], "bias": 10 ** 400}, "out_weights and bias must be finite"),
+    ({"centers": [[10 ** 400]], "bias": 0.0}, "centers must be numbers within float range"),
+    ({"centers": [[0.0]], "bias": 10 ** 400}, "bias must be numbers within float range"),
 ], ids=["center", "bias"])
 def test_network_refuses_ints_past_float_range(fields, match):
     with pytest.raises(DataError, match=match):
@@ -533,8 +537,8 @@ def with_nan(a, index):
 
 
 @pytest.mark.parametrize("inputs, message", [
-    (_X[:, 0], r"non-empty \(N, d\) array"),
-    (with_nan(_X, (3, 1)), "training data must be finite"),
+    (_X[:, 0], "training inputs must be a non-empty 2-D array"),
+    (with_nan(_X, (3, 1)), r"training inputs must be finite, got nan at index \(3, 1\)"),
 ], ids=["1-d-inputs", "nan-input"])
 def test_training_refuses_bad_inputs(inputs, message):
     cfg = RbfTrainConfig(units=2, epochs=2)
@@ -547,8 +551,8 @@ def test_training_refuses_bad_inputs(inputs, message):
 
 
 @pytest.mark.parametrize("targets, message", [
-    (_Y[:-1], "one entry per input row"),
-    (with_nan(_Y, 5), "training data must be finite"),
+    (_Y[:-1], "training targets must have one entry per input row"),
+    (with_nan(_Y, 5), "training targets must be finite, got nan at index 5"),
 ], ids=["short-targets", "nan-target"])
 def test_training_refuses_bad_targets(targets, message):
     cfg = RbfTrainConfig(units=2, epochs=2)

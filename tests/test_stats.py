@@ -169,7 +169,7 @@ def test_t_needs_two_pairs():
 
 def test_empty_pairs_are_a_data_error():
     for paired_test in (paired_t_test, wilcoxon_signed_rank):
-        with pytest.raises(DataError, match="at least one pair"):
+        with pytest.raises(DataError, match="paired inputs must be a non-empty 1-D array"):
             paired_test([], [])
 
 
