@@ -251,7 +251,7 @@ def _cmd_forecast(g: dict):
     v = g["cli"]
     kind, fields = read_model_document(read_text(v["model"], f"model file {v['model']}"))
     model = (rbf if kind == "an RBF" else poly).from_document(fields)
-    windows = make_windows(resolve_source(CsvSource(**g["csv"])), int(fields["d"]))
+    windows = make_windows(resolve_source(CsvSource(**g["csv"])), fields["d"])
     preds = _forecast(model, windows,
                       DataError(f"{v['model']} gives non-finite forecasts on this series"))
     _write_series(v["out"], "index,prediction", windows.window_d, preds, "predictions")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -25,15 +26,16 @@ from .errors import ConfigError, DataError
 def float_array(values, what: str, ndim: int | None = None, error: type = DataError) -> np.ndarray:
     """values as float64: the one place a caller's numbers are converted and checked.
 
-    Text, or what numpy cannot convert (a Python int past float range, a
-    ragged list), raises `error`.  With ndim, so does an array of another
-    dimension count, an empty one, or one holding NaN or an infinity; the
-    message names `what` and the first such entry's index.
+    Text, bare or inside a list or array, or what numpy cannot convert (an
+    int past float range, a ragged list) raises `error`; with ndim, so does
+    an array of another dimension count, an empty one, or one holding NaN
+    or an infinity, and the message names `what` and the first such index.
     """
     try:
-        if isinstance(values, (str, bytes)):  # numpy would parse "1.5" as a number
-            raise TypeError
-        array = np.asarray(values, dtype=np.float64)
+        raw = values if isinstance(values, np.ndarray) else np.asarray(values)
+        if raw.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
+            raise TypeError  # numpy would parse "1.5" as a number
+        array = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} must be numbers within float range") from None
     if ndim is None:
@@ -45,6 +47,16 @@ def float_array(values, what: str, ndim: int | None = None, error: type = DataEr
         at = f" at index {bad[0] if ndim == 1 else bad}" if ndim else ""
         raise error(f"{what} must be finite, got {array[bad]}{at}")
     return array
+
+
+def int_value(value, what: str, low: int, error: type = ConfigError) -> int:
+    """The one integer intake: value as a plain int if an int or numpy int >= low, not a bool."""
+    try:
+        if not isinstance(value, bool) and (number := operator.index(value)) >= low:
+            return number
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +83,9 @@ class WindowedDataset:
     targets: np.ndarray  # shape (N,)
 
     def __post_init__(self):
+        object.__setattr__(self, "window_d", int_value(self.window_d, "window_d", 1, DataError))
         inputs = float_array(self.inputs, "inputs")
         targets = float_array(self.targets, "targets")
-        if self.window_d < 1:
-            raise DataError("window_d must be >= 1")
         if inputs.ndim != 2 or inputs.shape[1] != self.window_d:
             raise DataError(f"inputs must have shape (N, {self.window_d})")
         if targets.ndim != 1 or targets.shape[0] != inputs.shape[0]:
@@ -133,9 +144,7 @@ def load_csv(path: str | Path, value_column: str | int | None = None) -> TimeSer
         col_index = first.index(value_column)
         rows = rows[1:]
     else:
-        col_index = int(value_column)
-        if col_index < 0:
-            raise DataError(f"{path}: column index must be >= 0, got {col_index}")
+        col_index = int_value(value_column, f"{path}: column index", 0, DataError)
         try:
             float(first[col_index])
         except IndexError:
@@ -170,8 +179,7 @@ def make_windows(series: TimeSeries, d: int) -> WindowedDataset:
     Row i is (t_i, ..., t_{i+d-1}) with target t_{i+d}, giving N = n - d
     rows.  Needs n >= d + 2 so at least two (input, target) pairs exist.
     """
-    if d < 1:
-        raise DataError(f"window size d must be >= 1, got {d}")
+    d = int_value(d, "window size d", 1, DataError)
     n = len(series)
     if n < d + 2:
         raise DataError(
@@ -258,16 +266,15 @@ def _gaussians(seed: int, n: int) -> list[float]:
     return draws[:n]
 
 
-def _check_common(n: int, seed: int, noise_sd: float, **floats):
-    """The generators' shared checks: n, the seed, and every float parameter."""
-    if n <= 0:
-        raise ConfigError(f"n must be positive, got {n}")
-    if not 0 <= seed <= _MASK64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+def _check_common(n: int, seed: int, noise_sd: float, **floats) -> tuple[int, int]:
+    """The generators' shared checks: every float parameter, the seed and n; n, seed as ints."""
     for name, value in {"noise_sd": noise_sd, **floats}.items():
         float_array(value, name, ndim=0, error=ConfigError)
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    if (seed := int_value(seed, "seed", 0)) > _MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return int_value(n, "n", 1), seed
 
 
 def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: float = 0.0,
@@ -277,8 +284,8 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
     value_i = amplitude * sin(2*pi*i / period) + trend * i + noise_i.
     Deterministic per seed on every platform (see _gaussians).
     """
-    _check_common(n, seed, noise_sd, amplitude=amplitude, trend=trend)
-    if period <= 0:
+    n, seed = _check_common(n, seed, noise_sd, amplitude=amplitude, trend=trend)
+    if float_array(period, "period", ndim=0, error=ConfigError) <= 0:
         raise ConfigError(f"period must be positive, got {period}")
     if n < 4 * period:
         warnings.warn(
@@ -295,7 +302,7 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
 def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
                       *, seed: int) -> TimeSeries:
     """Random walk from 0: v_{i+1} = v_i + drift + gaussian(0, noise_sd)."""
-    _check_common(n, seed, noise_sd, drift=drift)
+    n, seed = _check_common(n, seed, noise_sd, drift=drift)
     steps = [drift + noise_sd * z for z in _gaussians(seed, n - 1)]
     values = np.concatenate([[0.0], np.cumsum(steps)]) if n > 1 else np.zeros(1)
     return TimeSeries(name=f"walk-{seed}", values=values)
@@ -309,7 +316,7 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
     after which value_i = sum_k coeffs[k] * value_{i-1-k} + gaussian(0, noise_sd).
     """
     coeffs = float_array(coeffs, "coeffs", ndim=1, error=ConfigError).tolist()
-    _check_common(n, seed, noise_sd)
+    n, seed = _check_common(n, seed, noise_sd)
     p = len(coeffs)
     if n <= p:
         raise ConfigError(f"n={n} must exceed the AR order {p}")

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import polynomial as poly
 from . import rbf
-from .data import TimeSeries, WindowedDataset, float_array, load_csv, make_windows, synth_ar, \
-    synth_random_walk, synth_seasonal
+from .data import TimeSeries, WindowedDataset, float_array, int_value, load_csv, make_windows, \
+    synth_ar, synth_random_walk, synth_seasonal
 from .errors import ConfigError, DataError, DegenerateSampleError, FitError, \
     UndefinedMetricError
 from .metrics import MetricReport, metric_report, timed
@@ -86,6 +86,8 @@ def resolve_source(source: DataSource) -> TimeSeries:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's protocol, checked once here; window_d, degrees and seeds become ints."""
+
     source: DataSource
     window_d: int = 8
     train_fraction: float = 0.8
@@ -96,27 +98,25 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.window_d < 1:
-            raise ConfigError(f"window_d must be >= 1, got {self.window_d}")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not self.degrees or any(k < 1 for k in self.degrees):
-            raise ConfigError(f"degrees must be a non-empty list of positive ints, got {self.degrees}")
-        if len(set(self.degrees)) < len(self.degrees):
-            raise ConfigError(f"degrees must not repeat, got {self.degrees}")
+        object.__setattr__(self, "window_d", int_value(self.window_d, "window_d", 1))
+        for name in ("train_fraction", "alpha"):
+            if not 0.0 < float_array(getattr(self, name), name, ndim=0, error=ConfigError) < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
         if float_array(self.ridge_lambda, "ridge_lambda", ndim=0, error=ConfigError) < 0:
             raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
-        if not self.seeds:
-            raise ConfigError("seeds must not be empty")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.rbf_config.seed != RbfTrainConfig.seed or self.rbf_config.target_mse is not None:
             raise ConfigError("rbf_config sets a seed or growth (target_mse, max_units): seeds "
                               "sets the RBF seed, and a comparison fits one fixed network")
-        for s in self.seeds:  # RbfTrainConfig decides which seeds are valid
-            replace(self.rbf_config, seed=s)
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        # RbfTrainConfig decides which seeds are valid
+        for name, check in (("degrees", lambda k: int_value(k, "degrees", 1)),
+                            ("seeds", lambda s: replace(self.rbf_config, seed=s).seed)):
+            given = getattr(self, name)
+            values = tuple(map(check, given)) if np.iterable(given) else ()
+            if not values:
+                raise ConfigError(f"{name} must be a non-empty list of integers, got {given!r}")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat, got {given}")
+            object.__setattr__(self, name, values)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -145,8 +145,9 @@ def windowed_split(series: TimeSeries, d: int,
     few test windows reach back into the training span, which is the
     usual teacher-forced setup for one-step forecasts.
     """
-    if not 0.0 < train_fraction < 1.0:
+    if not 0.0 < float_array(train_fraction, "train_fraction", ndim=0) < 1.0:
         raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    full = make_windows(series, d)  # checks d before n_train - d below
     n = len(series)
     n_train = int(math.floor(n * train_fraction))
     boundary = n_train - d  # index of the first test row
@@ -154,7 +155,6 @@ def windowed_split(series: TimeSeries, d: int,
         raise DataError(
             f"train span of {n_train} points is too short for windows of d={d}"
         )
-    full = make_windows(series, d)
     if boundary >= len(full):
         raise DataError(
             f"train_fraction={train_fraction} leaves no test windows for n={n}"
@@ -315,8 +315,8 @@ def run_comparison(config: ExperimentConfig, seed: int | None = None) -> Compari
     too degenerate to test are reported as such rather than failing.
     """
     dataset, train, test = _split(config)
-    rbf_cfg = replace(config.rbf_config, seed=int(config.seeds[0] if seed is None else seed))
-    degree = int(min(config.degrees))
+    rbf_cfg = replace(config.rbf_config, seed=config.seeds[0] if seed is None else seed)
+    degree = min(config.degrees)
 
     def rbf_fit() -> tuple[rbf.RbfNetwork, dict]:
         net, trace = rbf.fit_fixed(train.inputs, train.targets, rbf_cfg)

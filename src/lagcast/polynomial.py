@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (WindowedDataset, float_array, read_model_document, read_text,
+from .data import (WindowedDataset, float_array, int_value, read_model_document, read_text,
                    write_model_document)
 from .errors import ConfigError, DataError, FitError
 
@@ -39,9 +39,7 @@ class MonomialBasis:
     exponents: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        d, k = self.window_d, self.degree_k
-        if d < 1 or k < 1:
-            raise ConfigError(f"window size d and degree K must be >= 1, got d={d}, K={k}")
+        d, k = (int_value(getattr(self, name), name, 1) for name in ("window_d", "degree_k"))
         # C(d + k, k) one factor at a time: a huge d and K stop at the cap, not in math.comb
         total = 1
         for i in range(1, min(d, k) + 1):
@@ -57,7 +55,8 @@ class MonomialBasis:
                     e[var] += 1
                 exps.append(tuple(e))
         assert len(exps) == total
-        object.__setattr__(self, "exponents", tuple(exps))
+        for name, value in (("window_d", d), ("degree_k", k), ("exponents", tuple(exps))):
+            object.__setattr__(self, name, value)
 
     @property
     def count(self) -> int:
@@ -212,7 +211,7 @@ def to_json(model: PolynomialModel) -> str:
 def from_document(fields: dict) -> PolynomialModel:
     """The model of a polynomial document's fields, as read_model_document returns them."""
     try:
-        basis = enumerate_monomials(int(fields["d"]), int(fields["K"]))
+        basis = enumerate_monomials(fields["d"], fields["K"])
     except ConfigError as exc:
         raise DataError(f"model document has no usable basis: {exc}") from exc
     if not np.array_equal(fields["exponents"], basis.exponents):

@@ -29,7 +29,7 @@ import numpy as np
 # numpy.random lazily, and the import would count as RBFNN execution time
 from numpy.random import default_rng
 
-from .data import float_array, read_model_document, read_text, write_model_document
+from .data import float_array, int_value, read_model_document, read_text, write_model_document
 from .errors import ConfigError, DataError, FitError
 
 _KMEANS_MAX_ITER = 100
@@ -95,8 +95,8 @@ class RbfTrainConfig:
     60 epochs and learning rate 0.000264.  target_mse and max_units, the
     growth settings, come as a pair and only matter to grow_until_target,
     which starts at min(4, N, max_units) units and ignores `units`.  Every
-    field is checked once here, so the training loop does not re-check
-    them per step.
+    field is checked once here, and the integers kept as plain ints, so
+    the training loop does not re-check them per step.
     """
 
     units: int = 36
@@ -108,20 +108,13 @@ class RbfTrainConfig:
     max_units: int | None = None
 
     def __post_init__(self):
-        if self.units < 1:
-            raise ConfigError(f"units must be >= 1, got {self.units}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        growth = () if self.max_units is None else (("max_units", 1),)
+        for name, low in (("units", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0), *growth):
+            object.__setattr__(self, name, int_value(getattr(self, name), name, low))
         for name in ("learning_rate", "target_mse"):
             value = getattr(self, name)
             if value is not None and not float_array(value, name, ndim=0, error=ConfigError) > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.max_units is not None and self.max_units < 1:
-            raise ConfigError(f"max_units must be >= 1, got {self.max_units}")
         if (self.target_mse is None) != (self.max_units is None):
             raise ConfigError("growth needs both target_mse and max_units, or neither")
 
@@ -289,9 +282,9 @@ def init_centers(inputs: np.ndarray, m: int, seed: int) -> np.ndarray:
     """
     inputs = float_array(inputs, "training inputs", ndim=2)
     n, d = inputs.shape
-    if not (1 <= m <= n):
+    if (m := int_value(m, "m", 1)) > n:
         raise ConfigError(f"need 1 <= m <= {n} centers, got {m}")
-    rng = default_rng([seed, 0xC3])
+    rng = default_rng([int_value(seed, "seed", 0), 0xC3])
 
     centers = np.empty((m, d))
     centers[0] = inputs[rng.integers(n)]

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .data import float_array
 from .errors import ConfigError, DataError, DegenerateSampleError
 from .metrics import _paired
 
@@ -78,11 +79,11 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_sf(t: float, df: float) -> float:
-    """Upper tail P(T > t) of Student's t with df degrees of freedom."""
-    if not 0 < df < math.inf:
-        raise ConfigError(f"degrees of freedom must be positive and finite, got {df}")
-    if math.isnan(t):
-        raise DataError("t statistic is NaN")
+    """Upper tail P(T > t) of Student's t with df > 0 degrees of freedom; both are finite."""
+    df = float(float_array(df, "degrees of freedom", ndim=0, error=ConfigError))
+    if df <= 0:
+        raise ConfigError(f"degrees of freedom must be positive, got {df}")
+    t = float(float_array(t, "t statistic", ndim=0))
     if t < 0.0:
         return 1.0 - student_t_sf(-t, df)
     x = df / (df + t * t)

@@ -14,6 +14,7 @@ from lagcast.data import (
     TimeSeries,
     WindowedDataset,
     float_array,
+    int_value,
     load_csv,
     make_windows,
     read_model_document,
@@ -22,7 +23,8 @@ from lagcast.data import (
     synth_seasonal,
 )
 from lagcast.errors import ConfigError, DataError, FitError
-from lagcast.harness import ExperimentConfig, SynthSource, run_degree_sweep, windowed_split
+from lagcast.harness import ExperimentConfig, SynthSource, run_comparison, run_degree_sweep, \
+    windowed_split
 from lagcast.metrics import cv_rmse, mae, metric_report, rmse
 from lagcast.stats import paired_t_test, wilcoxon_signed_rank
 
@@ -65,8 +67,13 @@ def test_timeseries_len():
     ([1.0, math.inf, math.nan], 1, "x must be finite, got inf at index 1"),
     ([[0.0, 1.0], [math.nan, 2.0]], 2, r"x must be finite, got nan at index \(1, 0\)"),
     (None, 0, "x must be finite, got nan$"),
+    (["1", "2"], None, "x must be numbers within float range"),
+    (np.array(["1.5"]), None, "x must be numbers within float range"),
+    (np.array([b"1"]), 1, "x must be numbers within float range"),
+    (np.array([1.0, "2"], dtype=object), None, "x must be numbers within float range"),
 ], ids=["int-past-float", "int-past-float-entry", "ragged", "text", "not-a-number",
-        "wrong-ndim", "empty", "inf-entry", "nan-entry-2-d", "none"])
+        "wrong-ndim", "empty", "inf-entry", "nan-entry-2-d", "none", "text-list", "text-array",
+        "bytes-array", "text-in-object-array"])
 def test_float_array_refusals(values, ndim, message):
     with pytest.raises(ConfigError, match=message):
         float_array(values, "x", ndim=ndim, error=ConfigError)
@@ -153,6 +160,65 @@ def test_an_int_past_float_range_is_refused_with_the_sites_error(case):
     error, call = _HUGE_INT_CASES[case]
     with pytest.raises(error, match="within float range"):
         call()
+
+
+# every entry point that takes a caller's integer: (error, lowest valid value,
+# call given the value and a two-column CSV file)
+_INT_CASES = {
+    "WindowedDataset-window_d": (DataError, 1, lambda v, csv: WindowedDataset(
+        v, [[0.0], [1.0]], [1.0, 2.0])),
+    "make_windows-d": (DataError, 1, lambda v, csv: make_windows(series([1, 2, 3, 4]), v)),
+    "load_csv-column": (DataError, 0, lambda v, csv: load_csv(csv, v)),
+    "synth-n": (ConfigError, 1, lambda v, csv: synth_random_walk(v, seed=0)),
+    "synth-seed": (ConfigError, 0, lambda v, csv: synth_seasonal(48, seed=v)),
+    "ExperimentConfig-window_d": (ConfigError, 1, lambda v, csv: _sweep_config(window_d=v)),
+    "ExperimentConfig-degrees": (ConfigError, 1, lambda v, csv: ExperimentConfig(
+        source=SynthSource("seasonal", n=120), degrees=(1, v))),
+    "ExperimentConfig-seeds": (ConfigError, 0, lambda v, csv: _sweep_config(seeds=(0, v))),
+    "windowed_split-d": (DataError, 1, lambda v, csv: windowed_split(
+        series(np.arange(20.0)), v, 0.8)),
+    "run_comparison-seed": (ConfigError, 0, lambda v, csv: run_comparison(_sweep_config(),
+                                                                          seed=v)),
+    "MonomialBasis-d": (ConfigError, 1, lambda v, csv: poly.MonomialBasis(v, 2)),
+    "MonomialBasis-K": (ConfigError, 1, lambda v, csv: poly.MonomialBasis(2, v)),
+    "poly.fit-degree_k": (ConfigError, 1, lambda v, csv: poly.fit(
+        make_windows(series(np.arange(10.0)), 2), v)),
+    "RbfTrainConfig-units": (ConfigError, 1, lambda v, csv: rbf.RbfTrainConfig(units=v)),
+    "RbfTrainConfig-batch_size": (ConfigError, 1, lambda v, csv: rbf.RbfTrainConfig(
+        batch_size=v)),
+    "RbfTrainConfig-epochs": (ConfigError, 1, lambda v, csv: rbf.RbfTrainConfig(epochs=v)),
+    "RbfTrainConfig-seed": (ConfigError, 0, lambda v, csv: rbf.RbfTrainConfig(seed=v)),
+    "RbfTrainConfig-max_units": (ConfigError, 1, lambda v, csv: rbf.RbfTrainConfig(
+        target_mse=0.1, max_units=v)),
+    "init_centers-m": (ConfigError, 1, lambda v, csv: rbf.init_centers(_X, v, seed=0)),
+    "init_centers-seed": (ConfigError, 0, lambda v, csv: rbf.init_centers(_X, 2, seed=v)),
+}
+_BAD_INTS = {"float": lambda low: 2.5, "bool": lambda low: True, "text": lambda low: "3",
+             "none": lambda low: None, "below-low": lambda low: low - 1}
+# what these sites accept by design: a column name, a file's only column, no
+# growth, and the first configured seed
+_VALID_THERE = {("load_csv-column", "text"), ("load_csv-column", "none"),
+                ("RbfTrainConfig-max_units", "none"), ("run_comparison-seed", "none")}
+
+
+@pytest.mark.parametrize("case, bad", [(c, b) for c in _INT_CASES for b in _BAD_INTS
+                                       if (c, b) not in _VALID_THERE])
+def test_a_bad_integer_is_refused_with_the_sites_error(tmp_path, case, bad):
+    error, low, call = _INT_CASES[case]
+    csv = tmp_path / "a.csv"
+    csv.write_text("a,b\n1,2\n3,4\n5,6\n")
+    with pytest.raises(error, match="must be an integer"):
+        call(_BAD_INTS[bad](low), csv)
+
+
+def test_int_value_accepts_numpy_integers_as_plain_ints():
+    for value in (3, np.int64(3), np.uint8(3), np.array(3)):
+        got = int_value(value, "x", 0)
+        assert got == 3 and type(got) is int
+    with pytest.raises(ConfigError, match=r"x must be an integer >= 0, got (np.float64\()?3.0"):
+        int_value(np.float64(3.0), "x", 0)
+    with pytest.raises(DataError, match=r"x must be an integer >= 0, got array\(\[3\]\)"):
+        int_value(np.array([3]), "x", 0, DataError)
 
 
 # ------------------------------------------------------------------ load_csv
@@ -262,7 +328,7 @@ def test_load_csv_unknown_column(tmp_path):
         load_csv(p, value_column="w")
     with pytest.raises(DataError):
         load_csv(p, value_column=7)
-    with pytest.raises(DataError, match="column index must be >= 0"):
+    with pytest.raises(DataError, match="column index must be an integer >= 0, got -1"):
         load_csv(p, value_column=-1)
 
 
@@ -299,7 +365,7 @@ def test_make_windows_bad_d():
 
 
 @pytest.mark.parametrize("window_d, inputs, targets, message", [
-    (0, np.zeros((2, 0)), [0.0, 0.0], "window_d must be >= 1"),
+    (0, np.zeros((2, 0)), [0.0, 0.0], "window_d must be an integer >= 1, got 0"),
     (2, [[1.0, 2.0, 3.0]], [4.0], "inputs must have shape"),
     (2, [[1.0, 2.0], [2.0, 3.0]], [3.0], "targets must be 1-D"),
     (2, np.zeros((0, 2)), np.zeros(0), "at least one row"),

@@ -130,7 +130,7 @@ def test_config_validation():
         ExperimentConfig(source=src, degrees=())
     with pytest.raises(ConfigError):
         ExperimentConfig(source=src, seeds=())
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
         ExperimentConfig(source=src, seeds=(0, -1))
     # a repeat would fit a degree twice, or count a seed twice in the median
     with pytest.raises(ConfigError, match="degrees must not repeat"):
@@ -273,6 +273,22 @@ def test_comparison_deterministic_up_to_timing():
     r1 = strip(run_comparison(seasonal_config()).to_dict())
     r2 = strip(run_comparison(seasonal_config()).to_dict())
     assert r1 == r2
+
+
+def test_numpy_int_config_reports_like_plain_ints():
+    plain = seasonal_config(window_d=6, degrees=(1, 2), seeds=(3,))
+    numpy = seasonal_config(window_d=np.int64(6), degrees=np.array([1, 2]),
+                            seeds=(np.int32(3),))
+    assert numpy == plain and config_hash(numpy) == config_hash(plain)
+
+    def doc(result):
+        doc = json.loads(render_report(result, "json"))
+        for row in doc.get("models") or doc["rows"]:
+            row.pop("exec_seconds")
+        return doc
+
+    for run in (run_comparison, run_degree_sweep):
+        assert doc(run(numpy)) == doc(run(plain))
 
 
 def test_comparison_uses_min_degree_for_pc():

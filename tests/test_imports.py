@@ -1,7 +1,8 @@
 """Every name a lagcast module imports is used in that module, every
 module it imports is in the standard library or is numpy, only
-data.float_array converts a caller's numbers to float, and every
-lagcast name the benchmark in perfbench/ calls exists."""
+data.float_array converts a caller's numbers to float, every int field
+of a checked record goes through data.int_value, and every lagcast name
+the benchmark in perfbench/ calls exists."""
 
 import ast
 import importlib
@@ -102,6 +103,51 @@ def test_scan_flags_a_float_conversion():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_float_array_converts_to_float(path):
     assert float_conversions(path.read_text()) == []
+
+
+# ---------------------------------------------------- one intake for integers
+
+INT_ANNOTATION = re.compile(r"int( \| None)?")
+
+
+def unchecked_int_fields(source: str) -> list[str]:
+    """Class.field of each int-annotated field of a class with a __post_init__
+    that does not pass the field to int_value: as self.field, or as
+    getattr(self, name) with the field's name written in __post_init__."""
+    found = []
+    classes = [c for c in ast.walk(ast.parse(source)) if isinstance(c, ast.ClassDef)]
+    for cls in classes:
+        post = next((f for f in cls.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"), None)
+        if post is None:
+            continue
+        checked = set()
+        for call in ast.walk(post):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int_value"):
+                continue
+            arg = call.args[0]
+            if isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self":
+                checked.add(arg.attr)
+            elif isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "getattr":
+                checked.update(c.value for c in ast.walk(post) if isinstance(c, ast.Constant))
+        found += [f"{cls.name}.{f.target.id}" for f in cls.body
+                  if isinstance(f, ast.AnnAssign) and f.target.id not in checked
+                  and INT_ANNOTATION.fullmatch(ast.unparse(f.annotation))]
+    return found
+
+
+def test_scan_flags_an_unchecked_int_field():
+    source = ("class A:\n    n: int\n    m: int | None = None\n    k: int = 1\n"
+              "    x: float = 0.0\n    sizes: tuple[int, ...] = ()\n"
+              "    def __post_init__(self):\n        int_value(self.n, 'n', 1)\n"
+              "        for name in ('k',):\n            int_value(getattr(self, name), name, 0)\n"
+              "class B:\n    n: int\n")
+    assert unchecked_int_fields(source) == ["A.m"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_int_field_goes_through_int_value(path):
+    assert unchecked_int_fields(path.read_text()) == []
 
 
 # ------------------------------------------------ what the benchmark calls

@@ -101,9 +101,9 @@ def test_centers_deterministic():
 
 def test_centers_bad_m():
     pts = np.zeros((5, 2))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="m must be an integer >= 1, got 0"):
         init_centers(pts, m=0, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"need 1 <= m <= 5 centers, got 6"):
         init_centers(pts, m=6, seed=0)
 
 
@@ -765,15 +765,15 @@ def test_grow_golden_sinusoid_reaches_target():
 # ------------------------------------------------------------------- config
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="units must be an integer >= 1, got 0"):
         RbfTrainConfig(units=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="batch_size must be an integer >= 1, got 0"):
         RbfTrainConfig(units=4, batch_size=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="epochs must be an integer >= 1, got 0"):
         RbfTrainConfig(units=4, epochs=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="max_units must be an integer >= 1, got 0"):
         RbfTrainConfig(units=4, max_units=0)
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
         RbfTrainConfig(units=4, seed=-1)
     # growth settings come as a pair
     with pytest.raises(ConfigError, match="both target_mse and max_units"):

@@ -126,7 +126,7 @@ def test_sf_input_validation():
     with pytest.raises(ConfigError):
         student_t_sf(1.0, -2.0)
     for df in (math.inf, math.nan):
-        with pytest.raises(ConfigError, match="positive and finite"):
+        with pytest.raises(ConfigError, match="degrees of freedom must be finite"):
             student_t_sf(1.0, df)
     with pytest.raises(DataError):
         student_t_sf(float("nan"), 5.0)
