@@ -85,7 +85,7 @@ _SPECS = {
     "synth": {
         "kind": (str, _REQUIRED, "synth.kind"), "n": (int, _REQUIRED, "synth.n"),
         "seed": (int, None, "synth.seed"), "out": (str, _REQUIRED, "cli.out"),
-        "period": (int, None, "gen.period"), "amplitude": (float, None, "gen.amplitude"),
+        "period": (float, None, "gen.period"), "amplitude": (float, None, "gen.amplitude"),
         "trend": (float, None, "gen.trend"), "noise_sd": (float, None, "gen.noise_sd"),
         "drift": (float, None, "gen.drift"), "coeffs": (_parse_float_list, None, "gen.coeffs"),
     },

@@ -23,18 +23,20 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-def float_array(values, what: str, ndim: int | None = None, error: type = DataError) -> np.ndarray:
-    """values as float64: the one place a caller's numbers are converted and checked.
+def float_array(values, what: str, ndim: int | None = None,
+                error: type = DataError) -> np.ndarray | float:
+    """values as float64, a plain float with ndim 0: the one number intake.
 
-    Text, bare or inside a list or array, or what numpy cannot convert (an
-    int past float range, a ragged list) raises `error`; with ndim, so does
-    an array of another dimension count, an empty one, or one holding NaN
-    or an infinity, and the message names `what` and the first such index.
+    A bool, text or None, bare or inside a list or array, or what numpy
+    cannot convert (an int past float range, a ragged list) raises `error`;
+    with ndim, so does an array of another dimension count, an empty one or
+    one holding NaN or an infinity, naming `what` and the first such index.
     """
     try:
         raw = values if isinstance(values, np.ndarray) else np.asarray(values)
-        if raw.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
-            raise TypeError  # numpy would parse "1.5" as a number
+        if (kind := raw.dtype.kind) == "b" or kind in "SUO" and any(
+                isinstance(v, (str, bytes, type(None))) for v in raw.flat):
+            raise TypeError  # numpy reads True as 1.0, "1.5" as a number and None as NaN
         array = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} must be numbers within float range") from None
@@ -46,7 +48,7 @@ def float_array(values, what: str, ndim: int | None = None, error: type = DataEr
         bad = tuple(np.argwhere(~np.isfinite(array))[0].tolist())
         at = f" at index {bad[0] if ndim == 1 else bad}" if ndim else ""
         raise error(f"{what} must be finite, got {array[bad]}{at}")
-    return array
+    return array if ndim else float(array)
 
 
 def int_value(value, what: str, low: int, error: type = ConfigError) -> int:
@@ -266,30 +268,31 @@ def _gaussians(seed: int, n: int) -> list[float]:
     return draws[:n]
 
 
-def _check_common(n: int, seed: int, noise_sd: float, **floats) -> tuple[int, int]:
-    """The generators' shared checks: every float parameter, the seed and n; n, seed as ints."""
-    for name, value in {"noise_sd": noise_sd, **floats}.items():
-        float_array(value, name, ndim=0, error=ConfigError)
+def _check_common(n: int, seed: int, noise_sd: float, **floats) -> tuple:
+    """Check the generators' shared inputs; return n, seed, then noise_sd and each of floats."""
+    noise_sd, *rest = (float_array(value, name, ndim=0, error=ConfigError)
+                       for name, value in {"noise_sd": noise_sd, **floats}.items())
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     if (seed := int_value(seed, "seed", 0)) > _MASK64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    return int_value(n, "n", 1), seed
+    return int_value(n, "n", 1), seed, noise_sd, *rest
 
 
-def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: float = 0.0,
+def synth_seasonal(n: int, period: float = 12, amplitude: float = 1.0, trend: float = 0.0,
                    noise_sd: float = 0.0, *, seed: int) -> TimeSeries:
     """Sine of the given period plus linear trend plus gaussian noise.
 
     value_i = amplitude * sin(2*pi*i / period) + trend * i + noise_i.
     Deterministic per seed on every platform (see _gaussians).
     """
-    n, seed = _check_common(n, seed, noise_sd, amplitude=amplitude, trend=trend)
-    if float_array(period, "period", ndim=0, error=ConfigError) <= 0:
+    n, seed, noise_sd, amplitude, trend, period = _check_common(
+        n, seed, noise_sd, amplitude=amplitude, trend=trend, period=period)
+    if period <= 0:
         raise ConfigError(f"period must be positive, got {period}")
     if n < 4 * period:
         warnings.warn(
-            f"n={n} covers under four periods of {period}; seasonal structure may be weak",
+            f"n={n} covers under four periods of {period:.15g}; seasonal structure may be weak",
             stacklevel=2,
         )
     # 0.0 + keeps zero noise +0.0 after a negative draw (noise_sd * z is -0.0)
@@ -302,7 +305,7 @@ def synth_seasonal(n: int, period: int = 12, amplitude: float = 1.0, trend: floa
 def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
                       *, seed: int) -> TimeSeries:
     """Random walk from 0: v_{i+1} = v_i + drift + gaussian(0, noise_sd)."""
-    n, seed = _check_common(n, seed, noise_sd, drift=drift)
+    n, seed, noise_sd, drift = _check_common(n, seed, noise_sd, drift=drift)
     steps = [drift + noise_sd * z for z in _gaussians(seed, n - 1)]
     values = np.concatenate([[0.0], np.cumsum(steps)]) if n > 1 else np.zeros(1)
     return TimeSeries(name=f"walk-{seed}", values=values)
@@ -316,7 +319,7 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
     after which value_i = sum_k coeffs[k] * value_{i-1-k} + gaussian(0, noise_sd).
     """
     coeffs = float_array(coeffs, "coeffs", ndim=1, error=ConfigError).tolist()
-    n, seed = _check_common(n, seed, noise_sd)
+    n, seed, noise_sd = _check_common(n, seed, noise_sd)
     p = len(coeffs)
     if n <= p:
         raise ConfigError(f"n={n} must exceed the AR order {p}")

@@ -16,7 +16,6 @@ import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Union
 
 import numpy as np
 
@@ -44,7 +43,7 @@ _TABLE_FIELDS = ("exec_seconds", "mae", "rmse", "cv_rmse_pct")
 @dataclass(frozen=True)
 class CsvSource:
     path: str
-    column: Union[str, int, None] = None
+    column: str | int | None = None
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class SynthSource:
     params: dict = field(default_factory=dict)
 
 
-DataSource = Union[CsvSource, SynthSource]
+DataSource = CsvSource | SynthSource
 
 _GENERATORS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
 
@@ -86,7 +85,7 @@ def resolve_source(source: DataSource) -> TimeSeries:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment's protocol, checked once here; window_d, degrees and seeds become ints."""
+    """An experiment's protocol, checked once here; integers and floats are kept as plain ones."""
 
     source: DataSource
     window_d: int = 8
@@ -99,10 +98,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "window_d", int_value(self.window_d, "window_d", 1))
+        for name in ("train_fraction", "alpha", "ridge_lambda"):
+            value = float_array(getattr(self, name), name, ndim=0, error=ConfigError)
+            object.__setattr__(self, name, value)
         for name in ("train_fraction", "alpha"):
-            if not 0.0 < float_array(getattr(self, name), name, ndim=0, error=ConfigError) < 1.0:
+            if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        if float_array(self.ridge_lambda, "ridge_lambda", ndim=0, error=ConfigError) < 0:
+        if self.ridge_lambda < 0:
             raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
         if self.rbf_config.seed != RbfTrainConfig.seed or self.rbf_config.target_mse is not None:
             raise ConfigError("rbf_config sets a seed or growth (target_mse, max_units): seeds "
@@ -145,19 +147,16 @@ def windowed_split(series: TimeSeries, d: int,
     few test windows reach back into the training span, which is the
     usual teacher-forced setup for one-step forecasts.
     """
-    if not 0.0 < float_array(train_fraction, "train_fraction", ndim=0) < 1.0:
-        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if not 0.0 < (fraction := float_array(train_fraction, "train_fraction", ndim=0)) < 1.0:
+        raise DataError(f"train_fraction must be in (0, 1), got {fraction}")
     full = make_windows(series, d)  # checks d before n_train - d below
-    n = len(series)
-    n_train = int(math.floor(n * train_fraction))
+    # a float64 fraction below 1 times a length below 2**53 rounds below the
+    # length, so at least one test row remains
+    n_train = math.floor(len(series) * fraction)
     boundary = n_train - d  # index of the first test row
     if boundary < 1:
         raise DataError(
             f"train span of {n_train} points is too short for windows of d={d}"
-        )
-    if boundary >= len(full):
-        raise DataError(
-            f"train_fraction={train_fraction} leaves no test windows for n={n}"
         )
     train = WindowedDataset(d, full.inputs[:boundary], full.targets[:boundary])
     test = WindowedDataset(d, full.inputs[boundary:], full.targets[boundary:])

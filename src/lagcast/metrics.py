@@ -5,14 +5,12 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
 from .data import float_array
 from .errors import DataError, UndefinedMetricError
-
-T = TypeVar("T")
 
 # |mean| at or below this is treated as zero for CV(RMSE)
 _MEAN_FLOOR = 1e-12
@@ -87,7 +85,7 @@ class TimedResult:
     seconds: float
 
 
-def timed(action: Callable[[], T]) -> TimedResult:
+def timed(action: Callable[[], object]) -> TimedResult:
     """Run action once, measuring wall time with a monotonic clock.
 
     Only the callable itself is timed; its exceptions propagate unchanged.

@@ -135,10 +135,10 @@ class PolynomialModel:
         weights = float_array(self.weights, "model weights", ndim=1)
         if weights.shape != (self.basis.count,):
             raise DataError(f"model weights have shape {weights.shape}, not ({self.basis.count},)")
-        lam = self.ridge_lambda  # a document holds no boolean
-        if isinstance(lam, (bool, np.bool_)) or float_array(lam, "model lambda", ndim=0) < 0:
+        if (lam := float_array(self.ridge_lambda, "model lambda", ndim=0)) < 0:
             raise DataError(f"model lambda must be a number >= 0, got {lam}")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ridge_lambda", lam)
 
 
 def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> PolynomialModel:
@@ -156,7 +156,7 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
     solution predicts identically on the training span.  A basis of more
     than DEFAULT_BASIS_CAP terms is a ConfigError.
     """
-    lam = float(float_array(ridge_lambda, "ridge_lambda", ndim=0, error=FitError))
+    lam = float_array(ridge_lambda, "ridge_lambda", ndim=0, error=FitError)
     if lam < 0:
         raise FitError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     basis = enumerate_monomials(data.window_d, degree_k)
@@ -216,7 +216,7 @@ def from_document(fields: dict) -> PolynomialModel:
         raise DataError(f"model document has no usable basis: {exc}") from exc
     if not np.array_equal(fields["exponents"], basis.exponents):
         raise DataError("model exponents do not match the canonical basis for (d, K)")
-    return PolynomialModel(basis, fields["weights"], float(fields["lambda"]))
+    return PolynomialModel(basis, fields["weights"], fields["lambda"])
 
 
 def from_json(text: str) -> PolynomialModel:

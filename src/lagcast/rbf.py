@@ -68,7 +68,6 @@ class RbfNetwork:
         centers = float_array(self.centers, "centers", ndim=2)
         widths = float_array(self.widths, "widths", ndim=1)
         weights = float_array(self.out_weights, "out_weights", ndim=1)
-        float_array(self.bias, "bias", ndim=0)
         m = centers.shape[0]
         if widths.shape != (m,) or weights.shape != (m,):
             raise DataError("widths and out_weights must have one entry per center")
@@ -77,6 +76,7 @@ class RbfNetwork:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "out_weights", weights)
+        object.__setattr__(self, "bias", float_array(self.bias, "bias", ndim=0))
 
     @property
     def n_units(self) -> int:
@@ -95,8 +95,8 @@ class RbfTrainConfig:
     60 epochs and learning rate 0.000264.  target_mse and max_units, the
     growth settings, come as a pair and only matter to grow_until_target,
     which starts at min(4, N, max_units) units and ignores `units`.  Every
-    field is checked once here, and the integers kept as plain ints, so
-    the training loop does not re-check them per step.
+    field is checked once here and kept as a plain int or float, so the
+    training loop does not re-check them per step.
     """
 
     units: int = 36
@@ -111,10 +111,10 @@ class RbfTrainConfig:
         growth = () if self.max_units is None else (("max_units", 1),)
         for name, low in (("units", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0), *growth):
             object.__setattr__(self, name, int_value(getattr(self, name), name, low))
-        for name in ("learning_rate", "target_mse"):
-            value = getattr(self, name)
-            if value is not None and not float_array(value, name, ndim=0, error=ConfigError) > 0:
+        for name in ("learning_rate",) + (() if self.target_mse is None else ("target_mse",)):
+            if (value := float_array(getattr(self, name), name, ndim=0, error=ConfigError)) <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         if (self.target_mse is None) != (self.max_units is None):
             raise ConfigError("growth needs both target_mse and max_units, or neither")
 
@@ -375,7 +375,7 @@ def set_widths(centers: np.ndarray, scale: float) -> np.ndarray:
     one.
     """
     centers = float_array(centers, "centers", ndim=2)
-    scale = float(float_array(scale, "scale", ndim=0))
+    scale = float_array(scale, "scale", ndim=0)
     m = centers.shape[0]
     if m == 1:
         widths = np.zeros(1)
@@ -543,7 +543,7 @@ def train(inputs: np.ndarray, targets: np.ndarray, centers: np.ndarray,
                 best_mse = mse
                 best_params[...] = params
 
-    net = replace(net, out_weights=best_params[:m], bias=float(best_params[m]))
+    net = replace(net, out_weights=best_params[:m], bias=best_params[m])
     return net, TrainTrace(epoch_mse=np.array(history), final_units=m,
                            stop_reason="epochs", best_mse=best_mse)
 
@@ -604,7 +604,7 @@ def grow_until_target(inputs: np.ndarray, targets: np.ndarray,
 
 def to_json(net: RbfNetwork) -> str:
     return write_model_document({"d": net.window_d, "centers": net.centers, "widths": net.widths,
-                                 "out_weights": net.out_weights, "bias": float(net.bias)})
+                                 "out_weights": net.out_weights, "bias": net.bias})
 
 
 def from_document(fields: dict) -> RbfNetwork:
@@ -612,7 +612,7 @@ def from_document(fields: dict) -> RbfNetwork:
     if fields["centers"].shape[1] != fields["d"]:
         raise DataError("centers shape does not match the declared window size")
     return RbfNetwork(centers=fields["centers"], widths=fields["widths"],
-                      out_weights=fields["out_weights"], bias=float(fields["bias"]))
+                      out_weights=fields["out_weights"], bias=fields["bias"])
 
 
 def from_json(text: str) -> RbfNetwork:

@@ -80,10 +80,10 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def student_t_sf(t: float, df: float) -> float:
     """Upper tail P(T > t) of Student's t with df > 0 degrees of freedom; both are finite."""
-    df = float(float_array(df, "degrees of freedom", ndim=0, error=ConfigError))
+    df = float_array(df, "degrees of freedom", ndim=0, error=ConfigError)
     if df <= 0:
         raise ConfigError(f"degrees of freedom must be positive, got {df}")
-    t = float(float_array(t, "t statistic", ndim=0))
+    t = float_array(t, "t statistic", ndim=0)
     if t < 0.0:
         return 1.0 - student_t_sf(-t, df)
     x = df / (df + t * t)

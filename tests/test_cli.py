@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from lagcast import cli, errors, polynomial as poly
 from lagcast import rbf
 from lagcast.cli import main
-from lagcast.data import TimeSeries, load_csv, make_windows
+from lagcast.data import TimeSeries, load_csv, make_windows, synth_seasonal
 from lagcast.harness import (
     CsvSource, ExperimentConfig, SynthSource, render_report, resolve_source,
     run_comparison, run_degree_sweep,
@@ -116,6 +116,14 @@ def test_synth_deterministic_and_headered(tmp_path):
     ta, tb = open(a).read(), open(b).read()
     assert ta == tb
     assert ta.splitlines()[0] == "t,v"
+
+
+def test_synth_period_is_a_real_number_as_in_the_library(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--kind", "seasonal", "--n", "100", "--period", "12.5",
+                 "--out", str(out)]) == 0
+    written = load_csv(out, "v").values.tobytes()
+    assert written == synth_seasonal(n=100, period=12.5, seed=0).values.tobytes()
 
 
 # ------------------------------------------------------------ reading CSVs

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lagcast.errors import ConfigError, DataError, FitError
 from lagcast.harness import ExperimentConfig, SynthSource, run_comparison, run_degree_sweep, \
     windowed_split
 from lagcast.metrics import cv_rmse, mae, metric_report, rmse
-from lagcast.stats import paired_t_test, wilcoxon_signed_rank
+from lagcast.stats import paired_t_test, student_t_sf, wilcoxon_signed_rank
 
 
 def series(values, name="s"):
@@ -66,14 +67,20 @@ def test_timeseries_len():
     (np.zeros((3, 0)), 2, "x must be a non-empty 2-D array"),
     ([1.0, math.inf, math.nan], 1, "x must be finite, got inf at index 1"),
     ([[0.0, 1.0], [math.nan, 2.0]], 2, r"x must be finite, got nan at index \(1, 0\)"),
-    (None, 0, "x must be finite, got nan$"),
+    (None, 0, "x must be numbers within float range"),
     (["1", "2"], None, "x must be numbers within float range"),
     (np.array(["1.5"]), None, "x must be numbers within float range"),
     (np.array([b"1"]), 1, "x must be numbers within float range"),
     (np.array([1.0, "2"], dtype=object), None, "x must be numbers within float range"),
+    (True, 0, "x must be numbers within float range"),
+    (np.True_, None, "x must be numbers within float range"),
+    (np.array([True, False]), 1, "x must be numbers within float range"),
+    ([1.0, None], None, "x must be numbers within float range"),
+    (np.array([1.0, None], dtype=object), 1, "x must be numbers within float range"),
 ], ids=["int-past-float", "int-past-float-entry", "ragged", "text", "not-a-number",
         "wrong-ndim", "empty", "inf-entry", "nan-entry-2-d", "none", "text-list", "text-array",
-        "bytes-array", "text-in-object-array"])
+        "bytes-array", "text-in-object-array", "bool", "numpy-bool", "bool-array",
+        "none-in-list", "none-in-object-array"])
 def test_float_array_refusals(values, ndim, message):
     with pytest.raises(ConfigError, match=message):
         float_array(values, "x", ndim=ndim, error=ConfigError)
@@ -90,16 +97,6 @@ _X = np.random.default_rng(5).standard_normal((12, 2))
 _Y = np.random.default_rng(6).standard_normal(12)
 
 
-def _with_huge(a, index):
-    """a as nested lists, with the Python int 10**400 at index."""
-    a = a.tolist()
-    if isinstance(index, tuple):
-        a[index[0]][index[1]] = 10 ** 400
-    else:
-        a[index] = 10 ** 400
-    return a
-
-
 def _sweep_config(**fields):
     return ExperimentConfig(source=SynthSource("seasonal", n=120, params={"noise_sd": 0.1}),
                             degrees=(1,), **fields)
@@ -109,57 +106,98 @@ _NET = rbf.RbfNetwork(centers=np.zeros((1, 2)), widths=np.ones(1), out_weights=n
                       bias=0.0)
 _CFG = rbf.RbfTrainConfig(units=2, epochs=1)
 _PAIR = [1.0, 2.0, 4.0]
+_BASIS = poly.enumerate_monomials(1, 1)
 
-# every entry point that takes a caller's numbers, given the Python int 10**400
-_HUGE_INT_CASES = {
-    "TimeSeries": (DataError, lambda: TimeSeries("s", [0.0, 10 ** 400])),
-    "WindowedDataset": (DataError, lambda: WindowedDataset(1, [[0.0], [1.0]], [1.0, 10 ** 400])),
-    "synth_seasonal-amplitude": (ConfigError, lambda: synth_seasonal(48, amplitude=10 ** 400,
-                                                                     seed=0)),
-    "synth_seasonal-trend": (ConfigError, lambda: synth_seasonal(48, trend=10 ** 400, seed=0)),
-    "synth_random_walk-drift": (ConfigError, lambda: synth_random_walk(8, drift=10 ** 400,
-                                                                       seed=0)),
-    "synth_random_walk-noise_sd": (ConfigError, lambda: synth_random_walk(8, noise_sd=10 ** 400,
-                                                                          seed=0)),
-    "synth_ar-coeffs": (ConfigError, lambda: synth_ar((0.5, 10 ** 400), n=8, seed=0)),
-    "RbfNetwork-widths": (DataError, lambda: rbf.RbfNetwork(
-        centers=[[0.0]], widths=[10 ** 400], out_weights=[0.0], bias=0.0)),
-    "RbfNetwork-out_weights": (DataError, lambda: rbf.RbfNetwork(
-        centers=[[0.0]], widths=[1.0], out_weights=[10 ** 400], bias=0.0)),
-    "RbfTrainConfig-learning_rate": (ConfigError, lambda: rbf.RbfTrainConfig(
-        learning_rate=10 ** 400)),
-    "RbfTrainConfig-target_mse": (ConfigError, lambda: rbf.RbfTrainConfig(
-        target_mse=10 ** 400, max_units=8)),
-    "init_centers": (DataError, lambda: rbf.init_centers(_with_huge(_X, (3, 1)), 2, seed=0)),
-    "set_widths-centers": (DataError, lambda: rbf.set_widths([[0.0], [10 ** 400]], 1.0)),
-    "set_widths-scale": (DataError, lambda: rbf.set_widths([[0.0]], 10 ** 400)),
-    "batch_forward": (DataError, lambda: rbf.batch_forward(_NET, [[0.0, 10 ** 400]])),
-    "fit_fixed-inputs": (DataError, lambda: rbf.fit_fixed(_with_huge(_X, (0, 0)), _Y, _CFG)),
-    "fit_fixed-targets": (DataError, lambda: rbf.fit_fixed(_X, _with_huge(_Y, 2), _CFG)),
-    "train": (DataError, lambda: rbf.train(_X, _with_huge(_Y, 2), np.zeros((1, 2)), np.ones(1),
-                                           _CFG)),
-    "grow_until_target": (DataError, lambda: rbf.grow_until_target(
-        _with_huge(_X, (5, 0)), _Y, rbf.RbfTrainConfig(target_mse=0.1, max_units=4))),
-    "loss_gradient": (DataError, lambda: rbf.loss_gradient(_NET, _X, _with_huge(_Y, 0))),
-    "poly.fit-ridge_lambda": (FitError, lambda: poly.fit(
-        make_windows(TimeSeries("s", np.arange(10.0)), 2), 1, ridge_lambda=10 ** 400)),
-    "mae": (DataError, lambda: mae(_PAIR, [1.0, 10 ** 400, 3.0])),
-    "rmse": (DataError, lambda: rmse([10 ** 400, 1.0, 3.0], _PAIR)),
-    "cv_rmse": (DataError, lambda: cv_rmse(_PAIR, [10 ** 400, 1.0, 3.0])),
-    "metric_report": (DataError, lambda: metric_report(_PAIR, [10 ** 400, 1.0, 3.0])),
-    "paired_t_test": (DataError, lambda: paired_t_test(_PAIR, [10 ** 400, 1.0, 3.0])),
-    "wilcoxon_signed_rank": (DataError, lambda: wilcoxon_signed_rank(
-        _PAIR, [10 ** 400, 1.0, 3.0])),
-    "ExperimentConfig-sweep": (ConfigError, lambda: run_degree_sweep(
-        _sweep_config(ridge_lambda=10 ** 400))),
+# what no site takes as a number, for a site of one number or of an array
+_SCALAR = {"int-past-float": 10 ** 400, "bool": True, "numpy-bool": np.True_, "none": None,
+           "text": "0.5"}
+_ARRAY = {"int-past-float": [0.0, 10 ** 400], "bool-array": np.array([True, False]),
+          "none-in-list": [0.0, None]}
+# every entry point that takes a caller's numbers: (error, the name its message
+# gives them, the bad values it is given, call given one)
+_NUMBER_CASES = {
+    "TimeSeries": (DataError, "series 's'", _ARRAY, lambda v: TimeSeries("s", v)),
+    "WindowedDataset": (DataError, "targets", _ARRAY, lambda v: WindowedDataset(
+        1, [[0.0], [1.0]], v)),
+    "synth_seasonal-amplitude": (ConfigError, "amplitude", _SCALAR, lambda v: synth_seasonal(
+        48, amplitude=v, seed=0)),
+    "synth_seasonal-trend": (ConfigError, "trend", _SCALAR, lambda v: synth_seasonal(
+        48, trend=v, seed=0)),
+    "synth_seasonal-period": (ConfigError, "period", _SCALAR, lambda v: synth_seasonal(
+        48, period=v, seed=0)),
+    "synth_random_walk-drift": (ConfigError, "drift", _SCALAR, lambda v: synth_random_walk(
+        8, drift=v, seed=0)),
+    "synth_random_walk-noise_sd": (ConfigError, "noise_sd", _SCALAR, lambda v: synth_random_walk(
+        8, noise_sd=v, seed=0)),
+    "synth_ar-coeffs": (ConfigError, "coeffs", _ARRAY, lambda v: synth_ar(v, n=8, seed=0)),
+    "RbfNetwork-widths": (DataError, "widths", _ARRAY, lambda v: rbf.RbfNetwork(
+        centers=[[0.0]], widths=v, out_weights=[0.0], bias=0.0)),
+    "RbfNetwork-out_weights": (DataError, "out_weights", _ARRAY, lambda v: rbf.RbfNetwork(
+        centers=[[0.0]], widths=[1.0], out_weights=v, bias=0.0)),
+    "RbfNetwork-bias": (DataError, "bias", _SCALAR, lambda v: rbf.RbfNetwork(
+        centers=[[0.0]], widths=[1.0], out_weights=[0.0], bias=v)),
+    "RbfTrainConfig-learning_rate": (ConfigError, "learning_rate", _SCALAR,
+                                     lambda v: rbf.RbfTrainConfig(learning_rate=v)),
+    "RbfTrainConfig-target_mse": (ConfigError, "target_mse", _SCALAR,
+                                  lambda v: rbf.RbfTrainConfig(target_mse=v, max_units=8)),
+    "init_centers": (DataError, "training inputs", _ARRAY, lambda v: rbf.init_centers(
+        v, 2, seed=0)),
+    "set_widths-centers": (DataError, "centers", _ARRAY, lambda v: rbf.set_widths(v, 1.0)),
+    "set_widths-scale": (DataError, "scale", _SCALAR, lambda v: rbf.set_widths([[0.0]], v)),
+    "batch_forward": (DataError, "inputs", _ARRAY, lambda v: rbf.batch_forward(_NET, v)),
+    "fit_fixed-inputs": (DataError, "training inputs", _ARRAY, lambda v: rbf.fit_fixed(
+        v, _Y, _CFG)),
+    "fit_fixed-targets": (DataError, "training targets", _ARRAY, lambda v: rbf.fit_fixed(
+        _X, v, _CFG)),
+    "train": (DataError, "training targets", _ARRAY, lambda v: rbf.train(
+        _X, v, np.zeros((1, 2)), np.ones(1), _CFG)),
+    "grow_until_target": (DataError, "training inputs", _ARRAY, lambda v: rbf.grow_until_target(
+        v, _Y, rbf.RbfTrainConfig(target_mse=0.1, max_units=4))),
+    "loss_gradient": (DataError, "training targets", _ARRAY, lambda v: rbf.loss_gradient(
+        _NET, _X, v)),
+    "PolynomialModel-weights": (DataError, "model weights", _ARRAY, lambda v: poly.PolynomialModel(
+        _BASIS, v, 0.0)),
+    "PolynomialModel-ridge_lambda": (DataError, "model lambda", _SCALAR,
+                                     lambda v: poly.PolynomialModel(_BASIS, [0.0, 1.0], v)),
+    "poly.fit-ridge_lambda": (FitError, "ridge_lambda", _SCALAR, lambda v: poly.fit(
+        make_windows(TimeSeries("s", np.arange(10.0)), 2), 1, ridge_lambda=v)),
+    "mae": (DataError, "paired inputs", _ARRAY, lambda v: mae(_PAIR, v)),
+    "rmse": (DataError, "paired inputs", _ARRAY, lambda v: rmse(v, _PAIR)),
+    "cv_rmse": (DataError, "paired inputs", _ARRAY, lambda v: cv_rmse(_PAIR, v)),
+    "metric_report": (DataError, "paired inputs", _ARRAY, lambda v: metric_report(_PAIR, v)),
+    "paired_t_test": (DataError, "paired inputs", _ARRAY, lambda v: paired_t_test(_PAIR, v)),
+    "wilcoxon_signed_rank": (DataError, "paired inputs", _ARRAY,
+                             lambda v: wilcoxon_signed_rank(_PAIR, v)),
+    "student_t_sf-t": (DataError, "t statistic", _SCALAR, lambda v: student_t_sf(v, 3.0)),
+    "student_t_sf-df": (ConfigError, "degrees of freedom", _SCALAR,
+                        lambda v: student_t_sf(1.0, v)),
+    "ExperimentConfig-sweep": (ConfigError, "ridge_lambda", _SCALAR, lambda v: run_degree_sweep(
+        _sweep_config(ridge_lambda=v))),
+    "ExperimentConfig-train_fraction": (ConfigError, "train_fraction", _SCALAR,
+                                        lambda v: _sweep_config(train_fraction=v)),
+    "ExperimentConfig-alpha": (ConfigError, "alpha", _SCALAR, lambda v: _sweep_config(alpha=v)),
+    "windowed_split-train_fraction": (DataError, "train_fraction", _SCALAR,
+                                      lambda v: windowed_split(series(np.arange(20.0)), 2, v)),
 }
 
 
-@pytest.mark.parametrize("case", _HUGE_INT_CASES)
+def _refused_as_not_a_number(case, bad):
+    error, what, bads, call = _NUMBER_CASES[case]
+    with pytest.raises(error, match=f"^{re.escape(what)} must be numbers within float range$"):
+        call(bads[bad])
+
+
+@pytest.mark.parametrize("case", _NUMBER_CASES)
 def test_an_int_past_float_range_is_refused_with_the_sites_error(case):
-    error, call = _HUGE_INT_CASES[case]
-    with pytest.raises(error, match="within float range"):
-        call()
+    _refused_as_not_a_number(case, "int-past-float")
+
+
+# target_mse None is a config without growth
+@pytest.mark.parametrize("case, bad", [(c, b) for c in _NUMBER_CASES for b in _NUMBER_CASES[c][2]
+                                       if b != "int-past-float"
+                                       and (c, b) != ("RbfTrainConfig-target_mse", "none")])
+def test_a_bool_none_or_text_is_not_a_number(case, bad):
+    _refused_as_not_a_number(case, bad)
 
 
 # every entry point that takes a caller's integer: (error, lowest valid value,
@@ -579,11 +617,11 @@ _RBF_NET = rbf.RbfNetwork(
      "88654a89d707ee03597eaf3fe4de9b5b393690ac1b91628c2b633a49470c5b7e"),
     (lambda: rbf.to_json(_RBF_NET),
      "cda9e2ce1726198703f288095cffc6c28158615c0105bf51211a7b269b275400"),
-    # hand-built models with integer parameters: weights and bias are
-    # written as floats, lambda as given
+    # hand-built models with integer parameters: weights, lambda and bias
+    # are written as floats
     (lambda: poly.to_json(poly.PolynomialModel(poly.enumerate_monomials(2, 1),
                                                np.array([1, -2, 3]), 0)),
-     "d540306bcd0f2d41eef0469c9a20f5387a34066ab256c78fdb8ff2aef77f813a"),
+     "f504b0051d011448fdce125c9fb8911b5d5a9122bafd164e372cb93f4ab4ed3a"),
     (lambda: rbf.to_json(rbf.RbfNetwork(centers=[[1, 2]], widths=[1], out_weights=[3],
                                         bias=-4)),
      "f0bcd686916c8b4acceb4d4d57aac12bffe9eb86bd9832bd1659953e55a70670"),

@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -82,6 +83,14 @@ def test_windowed_split_too_small():
     for fraction in (0.0, 1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(DataError):
             windowed_split(series, d=2, train_fraction=fraction)
+
+
+def test_windowed_split_keeps_one_test_row_at_the_largest_fraction_below_one():
+    # n * f rounds below n for a float64 f < 1 and n < 2**53
+    fraction = np.nextafter(1.0, 0.0)
+    for n in range(10, 3001):
+        train, test = windowed_split(TimeSeries("t", np.arange(float(n))), 8, fraction)
+        assert len(test) == 1 and len(train) == n - 9
 
 
 # ------------------------------------------------------------------- sources
@@ -275,11 +284,10 @@ def test_comparison_deterministic_up_to_timing():
     assert r1 == r2
 
 
-def test_numpy_int_config_reports_like_plain_ints():
-    plain = seasonal_config(window_d=6, degrees=(1, 2), seeds=(3,))
-    numpy = seasonal_config(window_d=np.int64(6), degrees=np.array([1, 2]),
-                            seeds=(np.int32(3),))
-    assert numpy == plain and config_hash(numpy) == config_hash(plain)
+def _reports_like(config, twin):
+    """config equals twin, hashes like it, and its comparison and sweep JSON
+    equal twin's apart from exec_seconds."""
+    assert config == twin and config_hash(config) == config_hash(twin)
 
     def doc(result):
         doc = json.loads(render_report(result, "json"))
@@ -288,7 +296,27 @@ def test_numpy_int_config_reports_like_plain_ints():
         return doc
 
     for run in (run_comparison, run_degree_sweep):
-        assert doc(run(numpy)) == doc(run(plain))
+        assert doc(run(config)) == doc(run(twin))
+
+
+def test_numpy_int_config_reports_like_plain_ints():
+    plain = seasonal_config(window_d=6, degrees=(1, 2), seeds=(3,))
+    numpy = seasonal_config(window_d=np.int64(6), degrees=np.array([1, 2]),
+                            seeds=(np.int32(3),))
+    _reports_like(numpy, plain)
+
+
+@pytest.mark.parametrize("make", [np.float32, np.float64, lambda x: Fraction(str(x))],
+                         ids=["float32", "float64", "Fraction"])
+@pytest.mark.parametrize("field, value", [("train_fraction", 0.6), ("alpha", 0.1),
+                                          ("ridge_lambda", 0.3), ("learning_rate", 0.03)])
+def test_numpy_and_fraction_float_configs_report_like_plain_floats(field, value, make):
+    def config(x):
+        if field == "learning_rate":
+            return seasonal_config(rbf_config=replace(QUICK_RBF, learning_rate=x))
+        return seasonal_config(**{field: x})
+
+    _reports_like(config(make(value)), config(float(make(value))))
 
 
 def test_comparison_uses_min_degree_for_pc():

@@ -1,8 +1,9 @@
 """Every name a lagcast module imports is used in that module, every
 module it imports is in the standard library or is numpy, only
-data.float_array converts a caller's numbers to float, every int field
-of a checked record goes through data.int_value, and every lagcast name
-the benchmark in perfbench/ calls exists."""
+data.float_array converts a caller's numbers to float, every int or float
+field of a checked record goes through data.int_value or data.float_array
+and is kept, and every lagcast name the benchmark in perfbench/ calls
+exists."""
 
 import ast
 import importlib
@@ -105,15 +106,16 @@ def test_only_float_array_converts_to_float(path):
     assert float_conversions(path.read_text()) == []
 
 
-# ---------------------------------------------------- one intake for integers
+# ------------------------------------------ one intake for integers and floats
 
-INT_ANNOTATION = re.compile(r"int( \| None)?")
-
-
-def unchecked_int_fields(source: str) -> list[str]:
-    """Class.field of each int-annotated field of a class with a __post_init__
-    that does not pass the field to int_value: as self.field, or as
-    getattr(self, name) with the field's name written in __post_init__."""
+def unchecked_fields(source: str, annotation: str, intake: str, **keywords) -> list[str]:
+    """Class.field of each field annotated `annotation` or `annotation | None`
+    in a class with a __post_init__ that does not both pass the field to an
+    `intake` call given these keyword constants and set it with
+    object.__setattr__.  The call takes self.field, or getattr(self, name);
+    the setter takes the field's name, or a variable.  A getattr or a
+    variable stands for every name written in __post_init__."""
+    typed = re.compile(rf"{annotation}( \| None)?")
     found = []
     classes = [c for c in ast.walk(ast.parse(source)) if isinstance(c, ast.ClassDef)]
     for cls in classes:
@@ -121,33 +123,72 @@ def unchecked_int_fields(source: str) -> list[str]:
                      if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"), None)
         if post is None:
             continue
-        checked = set()
-        for call in ast.walk(post):
-            if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int_value"):
-                continue
-            arg = call.args[0]
-            if isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self":
-                checked.add(arg.attr)
-            elif isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "getattr":
-                checked.update(c.value for c in ast.walk(post) if isinstance(c, ast.Constant))
+        written = {c.value for c in ast.walk(post) if isinstance(c, ast.Constant)}
+        checked, stored = set(), set()
+        for call in (c for c in ast.walk(post) if isinstance(c, ast.Call)):
+            arg = call.args[0] if call.args else None
+            if getattr(call.func, "id", None) == intake and all(
+                    any(k.arg == key and getattr(k.value, "value", None) == value
+                        for k in call.keywords) for key, value in keywords.items()):
+                if isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self":
+                    checked.add(arg.attr)
+                elif isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "getattr":
+                    checked |= written
+            elif ast.unparse(call.func) == "object.__setattr__":
+                name = call.args[1]
+                stored |= {name.value} if isinstance(name, ast.Constant) else written
         found += [f"{cls.name}.{f.target.id}" for f in cls.body
-                  if isinstance(f, ast.AnnAssign) and f.target.id not in checked
-                  and INT_ANNOTATION.fullmatch(ast.unparse(f.annotation))]
+                  if isinstance(f, ast.AnnAssign) and f.target.id not in checked & stored
+                  and typed.fullmatch(ast.unparse(f.annotation))]
     return found
+
+
+def unchecked_int_fields(source: str) -> list[str]:
+    return unchecked_fields(source, "int", "int_value")
+
+
+def unchecked_float_fields(source: str) -> list[str]:
+    return unchecked_fields(source, "float", "float_array", ndim=0)
 
 
 def test_scan_flags_an_unchecked_int_field():
     source = ("class A:\n    n: int\n    m: int | None = None\n    k: int = 1\n"
               "    x: float = 0.0\n    sizes: tuple[int, ...] = ()\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'n', int_value(self.n, 'n', 1))\n"
+              "        for name in ('k',):\n"
+              "            value = int_value(getattr(self, name), name, 0)\n"
+              "            object.__setattr__(self, name, value)\n"
+              "class B:\n    n: int\n"
+              "class C:\n    n: int\n    m: int\n"
               "    def __post_init__(self):\n        int_value(self.n, 'n', 1)\n"
-              "        for name in ('k',):\n            int_value(getattr(self, name), name, 0)\n"
-              "class B:\n    n: int\n")
-    assert unchecked_int_fields(source) == ["A.m"]
+              "        object.__setattr__(self, 'm', self.m)\n")
+    assert unchecked_int_fields(source) == ["A.m", "C.n", "C.m"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_int_field_goes_through_int_value(path):
     assert unchecked_int_fields(path.read_text()) == []
+
+
+def test_scan_flags_an_unchecked_float_field():
+    source = ("class A:\n    x: float\n    y: float | None = None\n    z: float = 1.0\n"
+              "    n: int = 0\n    a: np.ndarray = None\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', float_array(self.x, 'x', ndim=0))\n"
+              "        for name in ('z',):\n"
+              "            value = float_array(getattr(self, name), name, ndim=0, error=E)\n"
+              "            object.__setattr__(self, name, value)\n"
+              "class B:\n    x: float\n"
+              "class C:\n    w: float\n    v: float\n"
+              "    def __post_init__(self):\n        float_array(self.w, 'w', ndim=0)\n"
+              "        object.__setattr__(self, 'v', float_array(self.v, 'v'))\n")
+    assert unchecked_float_fields(source) == ["A.y", "C.w", "C.v"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_float_field_goes_through_float_array(path):
+    assert unchecked_float_fields(path.read_text()) == []
 
 
 # ------------------------------------------------ what the benchmark calls
