@@ -61,6 +61,21 @@ def int_value(value, what: str, low: int, error: type = ConfigError) -> int:
     raise error(f"{what} must be an integer >= {low}, got {value!r}")
 
 
+def take_numbers(record, error: type = DataError):
+    """Store each field of the record's _NUMBERS table, {field: (int_value or float_array,
+    its name in messages, its least value or ndim)}, as that intake returns it; a refused
+    value raises `error`.  A name may quote the record's fields: "series {name!r}"."""
+    for name, (take, what, arg) in record._NUMBERS.items():
+        if "{" in what:
+            what = what.format_map(vars(record))
+        object.__setattr__(record, name, take(getattr(record, name), what, arg, error))
+
+
+def keeping(take, *kept: type):
+    """take, but a value of a kept type, such as None for an unset option, stays as given."""
+    return lambda value, *args: value if isinstance(value, kept) else take(value, *args)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A named 1-D series of float64 values, oldest first."""
@@ -68,9 +83,8 @@ class TimeSeries:
     name: str
     values: np.ndarray
 
-    def __post_init__(self):
-        values = float_array(self.values, f"series {self.name!r}", ndim=1)
-        object.__setattr__(self, "values", values)
+    _NUMBERS = {"values": (float_array, "series {name!r}", 1)}
+    __post_init__ = take_numbers
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -84,10 +98,12 @@ class WindowedDataset:
     inputs: np.ndarray   # shape (N, d)
     targets: np.ndarray  # shape (N,)
 
+    _NUMBERS = {"window_d": (int_value, "window_d", 1), "inputs": (float_array, "inputs", None),
+                "targets": (float_array, "targets", None)}
+
     def __post_init__(self):
-        object.__setattr__(self, "window_d", int_value(self.window_d, "window_d", 1, DataError))
-        inputs = float_array(self.inputs, "inputs")
-        targets = float_array(self.targets, "targets")
+        take_numbers(self)
+        inputs, targets = self.inputs, self.targets
         if inputs.ndim != 2 or inputs.shape[1] != self.window_d:
             raise DataError(f"inputs must have shape (N, {self.window_d})")
         if targets.ndim != 1 or targets.shape[0] != inputs.shape[0]:
@@ -100,8 +116,6 @@ class WindowedDataset:
                 raise DataError("window rows do not overlap like consecutive slices")
             if not np.array_equal(targets[:-1], inputs[1:, -1]):
                 raise DataError("target i must reappear as the last lag of row i+1")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
 
     def __len__(self) -> int:
         return int(self.targets.size)

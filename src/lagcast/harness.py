@@ -21,8 +21,8 @@ import numpy as np
 
 from . import polynomial as poly
 from . import rbf
-from .data import TimeSeries, WindowedDataset, float_array, int_value, load_csv, make_windows, \
-    synth_ar, synth_random_walk, synth_seasonal
+from .data import TimeSeries, WindowedDataset, float_array, int_value, keeping, load_csv, \
+    make_windows, synth_ar, synth_random_walk, synth_seasonal, take_numbers
 from .errors import ConfigError, DataError, DegenerateSampleError, FitError, \
     UndefinedMetricError
 from .metrics import MetricReport, metric_report, timed
@@ -43,7 +43,13 @@ _TABLE_FIELDS = ("exec_seconds", "mae", "rmse", "cv_rmse_pct")
 @dataclass(frozen=True)
 class CsvSource:
     path: str
-    column: str | int | None = None
+    column: str | int | None = None  # a name, a 0-based index, or None for a file's only column
+
+    _NUMBERS = {"column": (keeping(int_value, str, type(None)), "{path}: column index", 0)}
+    __post_init__ = take_numbers
+
+
+_GENERATORS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
 
 
 @dataclass(frozen=True)
@@ -53,34 +59,33 @@ class SynthSource:
     seed: int = 0
     params: dict = field(default_factory=dict)
 
+    _NUMBERS = {"n": (int_value, "n", 1), "seed": (int_value, "seed", 0)}
+
+    def __post_init__(self):
+        if (generate := _GENERATORS.get(self.kind)) is None:
+            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
+        takes = {name: p.default for name, p in inspect.signature(generate).parameters.items()
+                 if name not in ("n", "seed")}
+        for name in self.params:
+            if name not in takes:
+                raise ConfigError(f"synthetic kind {self.kind!r} takes no parameter {name!r}; "
+                                  f"it takes {', '.join(sorted(takes))}")
+        take_numbers(self, ConfigError)
+        object.__setattr__(self, "params", {  # a float, or a list of them as coeffs' default
+            name: np.asarray(float_array(value, name, np.ndim(takes[name]), ConfigError)).tolist()
+            for name, value in self.params.items()})
+
 
 DataSource = CsvSource | SynthSource
 
-_GENERATORS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
-
 
 def resolve_source(source: DataSource) -> TimeSeries:
-    """Materialize the configured data source as a TimeSeries.
-
-    A synthetic source's params are keyword arguments of its kind's
-    generator, whose signature holds every default; a parameter the
-    generator does not take is a ConfigError.
-    """
+    """Materialize the configured data source, checked when it was built, as a TimeSeries."""
     if isinstance(source, CsvSource):
         return load_csv(source.path, source.column)
-    if not isinstance(source, SynthSource):
-        raise ConfigError(f"unknown data source type {type(source).__name__}")
-    generate = _GENERATORS.get(source.kind)
-    if generate is None:
-        raise ConfigError(f"unknown synthetic kind {source.kind!r}")
-    takes = set(inspect.signature(generate).parameters) - {"n", "seed"}
-    for name in source.params:
-        if name not in takes:
-            raise ConfigError(
-                f"synthetic kind {source.kind!r} takes no parameter {name!r}; "
-                f"it takes {', '.join(sorted(takes))}"
-            )
-    return generate(n=source.n, seed=source.seed, **source.params)
+    if isinstance(source, SynthSource):
+        return _GENERATORS[source.kind](n=source.n, seed=source.seed, **source.params)
+    raise ConfigError(f"unknown data source type {type(source).__name__}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,12 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     alpha: float = 0.05
 
+    _NUMBERS = {"window_d": (int_value, "window_d", 1), "alpha": (float_array, "alpha", 0),
+                "train_fraction": (float_array, "train_fraction", 0),
+                "ridge_lambda": (float_array, "ridge_lambda", 0)}
+
     def __post_init__(self):
-        object.__setattr__(self, "window_d", int_value(self.window_d, "window_d", 1))
-        for name in ("train_fraction", "alpha", "ridge_lambda"):
-            value = float_array(getattr(self, name), name, ndim=0, error=ConfigError)
-            object.__setattr__(self, name, value)
+        take_numbers(self, ConfigError)
         for name in ("train_fraction", "alpha"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 
 from .data import (WindowedDataset, float_array, int_value, read_model_document, read_text,
-                   write_model_document)
+                   take_numbers, write_model_document)
 from .errors import ConfigError, DataError, FitError
 
 DEFAULT_BASIS_CAP = 100_000
@@ -31,15 +30,20 @@ class MonomialBasis:
     exponents, derived at construction, is ordered by ascending total
     degree; within a degree, earlier lags get higher exponents first.
     The constant term is always first, so the basis of (d=2, K=2) reads
-    1, y1, y2, y1^2, y1*y2, y2^2.
+    1, y1, y2, y1^2, y1*y2, y2^2.  factors, _design_matrix's plan, lists per
+    term the (lag, power - 1) pair of each nonzero exponent, lags ascending.
     """
 
     window_d: int
     degree_k: int
     exponents: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    factors: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
+
+    _NUMBERS = {"window_d": (int_value, "window_d", 1), "degree_k": (int_value, "degree_k", 1)}
 
     def __post_init__(self):
-        d, k = (int_value(getattr(self, name), name, 1) for name in ("window_d", "degree_k"))
+        take_numbers(self, ConfigError)
+        d, k = self.window_d, self.degree_k
         # C(d + k, k) one factor at a time: a huge d and K stop at the cap, not in math.comb
         total = 1
         for i in range(1, min(d, k) + 1):
@@ -47,27 +51,22 @@ class MonomialBasis:
             if total > DEFAULT_BASIS_CAP:
                 raise ConfigError(f"basis for d={d}, K={k} has more than "
                                   f"{DEFAULT_BASIS_CAP} terms (the cap)")
-        exps: list[tuple[int, ...]] = [(0,) * d]
+        # a term is the term of its lags but the last, j (no earlier than theirs), times
+        # lag j: its last factor (j, p - 1), if lag j has power p > 0 there, becomes (j, p)
+        terms = {(): ((0,) * d, ())}
         for degree in range(1, k + 1):
             for combo in combinations_with_replacement(range(d), degree):
-                e = [0] * d
-                for var in combo:
-                    e[var] += 1
-                exps.append(tuple(e))
-        assert len(exps) == total
-        for name, value in (("window_d", d), ("degree_k", k), ("exponents", tuple(exps))):
-            object.__setattr__(self, name, value)
+                (exps, factors), j = terms[combo[:-1]], combo[-1]
+                terms[combo] = (exps[:j] + (exps[j] + 1,) + exps[j + 1:],
+                                (factors[:-1] if exps[j] else factors) + ((j, exps[j]),))
+        assert len(terms) == total
+        exponents, factors = zip(*terms.values())
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def count(self) -> int:
         return len(self.exponents)
-
-    @cached_property
-    def factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per term, the (lag, power - 1) pair of each nonzero exponent, in
-        ascending lag order; built on first read, then kept with the basis."""
-        return tuple(tuple((j, p - 1) for j, p in enumerate(exp) if p)
-                     for exp in self.exponents)
 
 
 def enumerate_monomials(d: int, k: int) -> MonomialBasis:
@@ -131,14 +130,15 @@ class PolynomialModel:
     weights: np.ndarray
     ridge_lambda: float
 
+    _NUMBERS = {"weights": (float_array, "model weights", 1),
+                "ridge_lambda": (float_array, "model lambda", 0)}
+
     def __post_init__(self):
-        weights = float_array(self.weights, "model weights", ndim=1)
-        if weights.shape != (self.basis.count,):
-            raise DataError(f"model weights have shape {weights.shape}, not ({self.basis.count},)")
-        if (lam := float_array(self.ridge_lambda, "model lambda", ndim=0)) < 0:
-            raise DataError(f"model lambda must be a number >= 0, got {lam}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ridge_lambda", lam)
+        take_numbers(self)
+        if (shape := self.weights.shape) != (self.basis.count,):
+            raise DataError(f"model weights have shape {shape}, not ({self.basis.count},)")
+        if self.ridge_lambda < 0:
+            raise DataError(f"model lambda must be a number >= 0, got {self.ridge_lambda}")
 
 
 def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> PolynomialModel:

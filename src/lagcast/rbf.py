@@ -29,7 +29,8 @@ import numpy as np
 # numpy.random lazily, and the import would count as RBFNN execution time
 from numpy.random import default_rng
 
-from .data import float_array, int_value, read_model_document, read_text, write_model_document
+from .data import float_array, int_value, keeping, read_model_document, read_text, take_numbers, \
+    write_model_document
 from .errors import ConfigError, DataError, FitError
 
 _KMEANS_MAX_ITER = 100
@@ -64,19 +65,16 @@ class RbfNetwork:
     out_weights: np.ndarray  # (M,)
     bias: float
 
+    _NUMBERS = {"centers": (float_array, "centers", 2), "widths": (float_array, "widths", 1),
+                "out_weights": (float_array, "out_weights", 1), "bias": (float_array, "bias", 0)}
+
     def __post_init__(self):
-        centers = float_array(self.centers, "centers", ndim=2)
-        widths = float_array(self.widths, "widths", ndim=1)
-        weights = float_array(self.out_weights, "out_weights", ndim=1)
-        m = centers.shape[0]
-        if widths.shape != (m,) or weights.shape != (m,):
+        take_numbers(self)
+        m = self.centers.shape[0]
+        if self.widths.shape != (m,) or self.out_weights.shape != (m,):
             raise DataError("widths and out_weights must have one entry per center")
-        if not np.all(widths > 0):
+        if not np.all(self.widths > 0):
             raise DataError("widths must be strictly positive")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "out_weights", weights)
-        object.__setattr__(self, "bias", float_array(self.bias, "bias", ndim=0))
 
     @property
     def n_units(self) -> int:
@@ -107,14 +105,17 @@ class RbfTrainConfig:
     target_mse: float | None = None
     max_units: int | None = None
 
+    _NUMBERS = {"units": (int_value, "units", 1), "batch_size": (int_value, "batch_size", 1),
+                "epochs": (int_value, "epochs", 1), "seed": (int_value, "seed", 0),
+                "max_units": (keeping(int_value, type(None)), "max_units", 1),
+                "learning_rate": (float_array, "learning_rate", 0),
+                "target_mse": (keeping(float_array, type(None)), "target_mse", 0)}
+
     def __post_init__(self):
-        growth = () if self.max_units is None else (("max_units", 1),)
-        for name, low in (("units", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0), *growth):
-            object.__setattr__(self, name, int_value(getattr(self, name), name, low))
-        for name in ("learning_rate",) + (() if self.target_mse is None else ("target_mse",)):
-            if (value := float_array(getattr(self, name), name, ndim=0, error=ConfigError)) <= 0:
+        take_numbers(self, ConfigError)
+        for name in ("learning_rate", "target_mse"):
+            if (value := getattr(self, name)) is not None and value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
         if (self.target_mse is None) != (self.max_units is None):
             raise ConfigError("growth needs both target_mse and max_units, or neither")
 

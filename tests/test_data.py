@@ -24,8 +24,8 @@ from lagcast.data import (
     synth_seasonal,
 )
 from lagcast.errors import ConfigError, DataError, FitError
-from lagcast.harness import ExperimentConfig, SynthSource, run_comparison, run_degree_sweep, \
-    windowed_split
+from lagcast.harness import CsvSource, ExperimentConfig, SynthSource, run_comparison, \
+    run_degree_sweep, windowed_split
 from lagcast.metrics import cv_rmse, mae, metric_report, rmse
 from lagcast.stats import paired_t_test, student_t_sf, wilcoxon_signed_rank
 
@@ -178,6 +178,8 @@ _NUMBER_CASES = {
     "ExperimentConfig-alpha": (ConfigError, "alpha", _SCALAR, lambda v: _sweep_config(alpha=v)),
     "windowed_split-train_fraction": (DataError, "train_fraction", _SCALAR,
                                       lambda v: windowed_split(series(np.arange(20.0)), 2, v)),
+    "SynthSource-period": (ConfigError, "period", _SCALAR, lambda v: SynthSource(
+        "seasonal", n=48, params={"period": v})),
 }
 
 
@@ -209,6 +211,9 @@ _INT_CASES = {
     "load_csv-column": (DataError, 0, lambda v, csv: load_csv(csv, v)),
     "synth-n": (ConfigError, 1, lambda v, csv: synth_random_walk(v, seed=0)),
     "synth-seed": (ConfigError, 0, lambda v, csv: synth_seasonal(48, seed=v)),
+    "SynthSource-n": (ConfigError, 1, lambda v, csv: SynthSource("walk", n=v)),
+    "SynthSource-seed": (ConfigError, 0, lambda v, csv: SynthSource("walk", n=8, seed=v)),
+    "CsvSource-column": (DataError, 0, lambda v, csv: CsvSource(csv, v)),
     "ExperimentConfig-window_d": (ConfigError, 1, lambda v, csv: _sweep_config(window_d=v)),
     "ExperimentConfig-degrees": (ConfigError, 1, lambda v, csv: ExperimentConfig(
         source=SynthSource("seasonal", n=120), degrees=(1, v))),
@@ -236,6 +241,7 @@ _BAD_INTS = {"float": lambda low: 2.5, "bool": lambda low: True, "text": lambda 
 # what these sites accept by design: a column name, a file's only column, no
 # growth, and the first configured seed
 _VALID_THERE = {("load_csv-column", "text"), ("load_csv-column", "none"),
+                ("CsvSource-column", "text"), ("CsvSource-column", "none"),
                 ("RbfTrainConfig-max_units", "none"), ("run_comparison-seed", "none")}
 
 

@@ -306,6 +306,23 @@ def test_numpy_int_config_reports_like_plain_ints():
     _reports_like(numpy, plain)
 
 
+def _seasonal(n=120, seed=0, period=12.0):
+    return SynthSource("seasonal", n=n, seed=seed, params={"period": period, "noise_sd": 0.1})
+
+
+@pytest.mark.parametrize("source, twin", [
+    (lambda csv: _seasonal(np.int64(120), np.int32(3), np.float32(12)),
+     lambda csv: _seasonal(120, 3, 12.0)),
+    (lambda csv: _seasonal(period=12), lambda csv: _seasonal(period=12.0)),
+    (lambda csv: CsvSource(csv, np.int64(1)), lambda csv: CsvSource(csv, 1)),
+], ids=["numpy-synth", "int-period", "numpy-column"])
+def test_numpy_and_int_valued_sources_report_like_plain_ones(tmp_path, source, twin):
+    csv = tmp_path / "a.csv"
+    values = resolve_source(_seasonal()).values + 2.0
+    csv.write_text("".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+    _reports_like(seasonal_config(source=source(csv)), seasonal_config(source=twin(csv)))
+
+
 @pytest.mark.parametrize("make", [np.float32, np.float64, lambda x: Fraction(str(x))],
                          ids=["float32", "float64", "Fraction"])
 @pytest.mark.parametrize("field, value", [("train_fraction", 0.6), ("alpha", 0.1),

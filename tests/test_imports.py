@@ -1,20 +1,24 @@
 """Every name a lagcast module imports is used in that module, every
 module it imports is in the standard library or is numpy, only
-data.float_array converts a caller's numbers to float, every int or float
-field of a checked record goes through data.int_value or data.float_array
-and is kept, and every lagcast name the benchmark in perfbench/ calls
-exists."""
+data.float_array converts a caller's numbers to float, every numeric field
+a caller gives a record is in its intake table and kept as a plain number,
+and every lagcast name the benchmark in perfbench/ calls exists."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import re
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from lagcast import data, harness, polynomial as poly, rbf
+from lagcast.errors import ConfigError, DataError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lagcast"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -106,89 +110,87 @@ def test_only_float_array_converts_to_float(path):
     assert float_conversions(path.read_text()) == []
 
 
-# ------------------------------------------ one intake for integers and floats
+# ------------------------------------------------ one intake table per record
 
-def unchecked_fields(source: str, annotation: str, intake: str, **keywords) -> list[str]:
-    """Class.field of each field annotated `annotation` or `annotation | None`
-    in a class with a __post_init__ that does not both pass the field to an
-    `intake` call given these keyword constants and set it with
-    object.__setattr__.  The call takes self.field, or getattr(self, name);
-    the setter takes the field's name, or a variable.  A getattr or a
-    variable stands for every name written in __post_init__."""
-    typed = re.compile(rf"{annotation}( \| None)?")
+# records only lagcast builds, from numbers it has checked already
+OUTPUT_RECORDS = {"MetricReport", "TimedResult", "TrainTrace", "ModelRow", "SweepResult",
+                  "ComparisonReport", "ComparisonSuite", "PairedTestResult"}
+# each intake record: its error, and a valid example's fields, each number exact in float32
+INTAKE_EXAMPLES = {
+    data.TimeSeries: (DataError, {"name": "s", "values": [1.0, 2.0]}),
+    data.WindowedDataset: (DataError, {"window_d": 1, "inputs": [[0.0], [1.0]],
+                                       "targets": [1.0, 2.0]}),
+    poly.MonomialBasis: (ConfigError, {"window_d": 2, "degree_k": 2}),
+    poly.PolynomialModel: (DataError, {"basis": poly.MonomialBasis(1, 1), "weights": [0.5, 2.0],
+                                       "ridge_lambda": 0.25}),
+    rbf.RbfNetwork: (DataError, {"centers": [[0.0], [1.0]], "widths": [1.0, 0.5],
+                                 "out_weights": [2.0, 0.5], "bias": 0.25}),
+    rbf.RbfTrainConfig: (ConfigError, {"units": 2, "batch_size": 4, "epochs": 3, "seed": 1,
+                                       "learning_rate": 0.5, "target_mse": 0.25, "max_units": 5}),
+    harness.ExperimentConfig: (ConfigError, {"source": harness.SynthSource("walk", 8),
+                                             "window_d": 2, "train_fraction": 0.75,
+                                             "alpha": 0.125, "ridge_lambda": 0.5}),
+    harness.SynthSource: (ConfigError, {"kind": "walk", "n": 8, "seed": 3}),
+    harness.CsvSource: (DataError, {"path": "a.csv", "column": 1}),
+}
+
+
+def untabled_fields(cls) -> list[str]:
+    """Class.field of each field typed int, float or np.ndarray, alone or in a
+    union, that is not in the class's _NUMBERS table."""
+    hints = typing.get_type_hints(cls)
+    return [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+            if {int, float, np.ndarray} & set(typing.get_args(hints[f.name]) or [hints[f.name]])
+            and f.name not in getattr(cls, "_NUMBERS", {})]
+
+
+def unconverted_fields(cls, error: type, example: dict) -> list[str]:
+    """Class.field of each table field, all of which must refuse True with error,
+    that keeps an np.int64, np.float32 or float32 array as given, not as the
+    plain int, plain float or float64 array the example holds there."""
     found = []
-    classes = [c for c in ast.walk(ast.parse(source)) if isinstance(c, ast.ClassDef)]
-    for cls in classes:
-        post = next((f for f in cls.body
-                     if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"), None)
-        if post is None:
-            continue
-        written = {c.value for c in ast.walk(post) if isinstance(c, ast.Constant)}
-        checked, stored = set(), set()
-        for call in (c for c in ast.walk(post) if isinstance(c, ast.Call)):
-            arg = call.args[0] if call.args else None
-            if getattr(call.func, "id", None) == intake and all(
-                    any(k.arg == key and getattr(k.value, "value", None) == value
-                        for k in call.keywords) for key, value in keywords.items()):
-                if isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self":
-                    checked.add(arg.attr)
-                elif isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "getattr":
-                    checked |= written
-            elif ast.unparse(call.func) == "object.__setattr__":
-                name = call.args[1]
-                stored |= {name.value} if isinstance(name, ast.Constant) else written
-        found += [f"{cls.name}.{f.target.id}" for f in cls.body
-                  if isinstance(f, ast.AnnAssign) and f.target.id not in checked & stored
-                  and typed.fullmatch(ast.unparse(f.annotation))]
+    for name in cls._NUMBERS:
+        with pytest.raises(error):
+            cls(**{**example, name: True})
+        valid = example[name]
+        want = type(valid) if isinstance(valid, (int, float)) else np.ndarray
+        given = (np.int64 if want is int else np.float32)(valid)  # a list gives a float32 array
+        kept = getattr(cls(**{**example, name: given}), name)
+        if type(kept) is not want or want is np.ndarray and kept.dtype != np.float64:
+            found.append(f"{cls.__name__}.{name}")
     return found
 
 
-def unchecked_int_fields(source: str) -> list[str]:
-    return unchecked_fields(source, "int", "int_value")
+def test_every_numeric_field_is_in_its_records_table_and_kept_plain():
+    modules = [importlib.import_module(f"lagcast.{p.stem}") for p in MODULES
+               if p.stem != "__main__"]
+    records = [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
+    assert OUTPUT_RECORDS <= {cls.__name__ for cls in records}
+    assert {cls for cls in records if hasattr(cls, "_NUMBERS")} == set(INTAKE_EXAMPLES)
+    assert [f for cls in records if cls.__name__ not in OUTPUT_RECORDS
+            for f in untabled_fields(cls)] == []
+    assert [f for cls, (error, example) in INTAKE_EXAMPLES.items()
+            for f in unconverted_fields(cls, error, example)] == []
 
 
-def unchecked_float_fields(source: str) -> list[str]:
-    return unchecked_fields(source, "float", "float_array", ndim=0)
+@dataclasses.dataclass(frozen=True)
+class _Untabled:  # x is missing from the table
+    n: int
+    x: float | None = None
+    _NUMBERS = {"n": (data.int_value, "n", 1)}
+    __post_init__ = data.take_numbers
 
 
-def test_scan_flags_an_unchecked_int_field():
-    source = ("class A:\n    n: int\n    m: int | None = None\n    k: int = 1\n"
-              "    x: float = 0.0\n    sizes: tuple[int, ...] = ()\n"
-              "    def __post_init__(self):\n"
-              "        object.__setattr__(self, 'n', int_value(self.n, 'n', 1))\n"
-              "        for name in ('k',):\n"
-              "            value = int_value(getattr(self, name), name, 0)\n"
-              "            object.__setattr__(self, name, value)\n"
-              "class B:\n    n: int\n"
-              "class C:\n    n: int\n    m: int\n"
-              "    def __post_init__(self):\n        int_value(self.n, 'n', 1)\n"
-              "        object.__setattr__(self, 'm', self.m)\n")
-    assert unchecked_int_fields(source) == ["A.m", "C.n", "C.m"]
+class _Unconverted(_Untabled):  # the table keeps a numpy n as given
+    _NUMBERS = {"n": (data.keeping(data.int_value, np.integer), "n", 1),
+                "x": (data.float_array, "x", 0)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_int_field_goes_through_int_value(path):
-    assert unchecked_int_fields(path.read_text()) == []
-
-
-def test_scan_flags_an_unchecked_float_field():
-    source = ("class A:\n    x: float\n    y: float | None = None\n    z: float = 1.0\n"
-              "    n: int = 0\n    a: np.ndarray = None\n"
-              "    def __post_init__(self):\n"
-              "        object.__setattr__(self, 'x', float_array(self.x, 'x', ndim=0))\n"
-              "        for name in ('z',):\n"
-              "            value = float_array(getattr(self, name), name, ndim=0, error=E)\n"
-              "            object.__setattr__(self, name, value)\n"
-              "class B:\n    x: float\n"
-              "class C:\n    w: float\n    v: float\n"
-              "    def __post_init__(self):\n        float_array(self.w, 'w', ndim=0)\n"
-              "        object.__setattr__(self, 'v', float_array(self.v, 'v'))\n")
-    assert unchecked_float_fields(source) == ["A.y", "C.w", "C.v"]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_float_field_goes_through_float_array(path):
-    assert unchecked_float_fields(path.read_text()) == []
+def test_the_table_checks_flag_a_missing_field_and_an_unconverted_one():
+    assert untabled_fields(_Untabled) == ["_Untabled.x"]
+    assert unconverted_fields(_Untabled, DataError, {"n": 1}) == []
+    assert unconverted_fields(_Unconverted, DataError, {"n": 1, "x": 0.5}) == ["_Unconverted.n"]
 
 
 # ------------------------------------------------ what the benchmark calls
@@ -243,13 +245,10 @@ def test_every_traced_layer_exists_but_the_stale_ones():
 
 
 def test_call_shapes_perfbench_relies_on():
-    from lagcast import rbf
-    from lagcast.data import WindowedDataset
-
     # the tracer counts rbf.train's steps from args[0] and args[4]
     params = list(inspect.signature(rbf.train).parameters)
     assert params[0] == "inputs" and params[4] == "config"
     # the stream builds one-row datasets positionally
-    row = WindowedDataset(2, np.array([[1.0, 2.0]]), np.array([3.0]))
+    row = data.WindowedDataset(2, np.array([[1.0, 2.0]]), np.array([3.0]))
     assert row.window_d == 2 and row.inputs.tolist() == [[1.0, 2.0]]
     assert row.targets.tolist() == [3.0]

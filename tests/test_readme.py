@@ -1,5 +1,6 @@
 """The README's Python examples and command-line recipe run as written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -43,6 +44,11 @@ def test_readme_command_line_recipe_runs(tmp_path, monkeypatch, capsys):
         if argv[0] == "forecast":  # no command writes a model document; the library does
             model = poly.fit(make_windows(load_csv("series.csv", "v"), 8), 1)
             poly.save(model, "model.json")
-        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        code, err = main(argv), capsys.readouterr().err
+        assert code == 0, (argv, err)
+        # the recipe's series has a positive mean, so CV(RMSE) needs no warning
+        assert argv[0] != "compare" or "warning:" not in err
     want = poly.rolling_forecast(model, make_windows(load_csv("series.csv", "v"), 8))
     assert np.array_equal(load_csv("preds.csv", "prediction").values, want)
+    models = json.loads(Path("report.json").read_text())["models"]
+    assert all(m["cv_rmse_pct"] > 0 for m in models)
