@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import polynomial as poly
 from . import rbf
-from .data import make_windows, read_model_document, read_text
+from .data import _SYNTH_PARAMETERS, make_windows, read_model_document, read_text
 from .errors import ConfigError, DataError, FitError
 from .harness import (
     REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, _forecast, render_report,
@@ -73,9 +73,9 @@ _REQUIRED = object()  # the default of an option that must be given
 # key -> (converter, CLI default, target).  The target "group.param" names
 # the parameter the option sets: csv of CsvSource, exp of ExperimentConfig,
 # rbf of RbfTrainConfig, synth of SynthSource, gen of the synthetic
-# generator, cli of the command itself.  An option whose default is None,
-# given neither as a flag nor in the config file, is left out, so the
-# library's default applies.
+# generator (one option per parameter of any kind, a list for coeffs), cli
+# of the command itself.  An option whose default is None, given neither as
+# a flag nor in the config file, is left out, so the library's default applies.
 _CSV = {"data": (str, _REQUIRED, "csv.path"), "column": (_parse_column, None, "csv.column")}
 _PROTOCOL = {"window": (int, None, "exp.window_d"),
              "degrees": (_parse_int_list, None, "exp.degrees"),
@@ -85,9 +85,8 @@ _SPECS = {
     "synth": {
         "kind": (str, _REQUIRED, "synth.kind"), "n": (int, _REQUIRED, "synth.n"),
         "seed": (int, None, "synth.seed"), "out": (str, _REQUIRED, "cli.out"),
-        "period": (float, None, "gen.period"), "amplitude": (float, None, "gen.amplitude"),
-        "trend": (float, None, "gen.trend"), "noise_sd": (float, None, "gen.noise_sd"),
-        "drift": (float, None, "gen.drift"), "coeffs": (_parse_float_list, None, "gen.coeffs"),
+        **{name: (_parse_float_list if isinstance(default, tuple) else float, None, f"gen.{name}")
+           for takes in _SYNTH_PARAMETERS.values() for name, default in takes.items()},
     },
     "sweep": {**_CSV, **_PROTOCOL, "format": (_parse_format, "markdown", "cli.format"),
               "out": (str, None, "cli.out")},

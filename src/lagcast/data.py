@@ -10,6 +10,7 @@ predict the value immediately after each window.  Everything downstream
 from __future__ import annotations
 
 import contextlib
+import inspect
 import json
 import math
 import operator
@@ -267,7 +268,7 @@ def _gaussians(seed: int, n: int) -> list[float]:
     and Box-Muller over consecutive pairs of uniforms, cosine first.  An
     odd n drops the last pair's sine.
     """
-    state = seed  # in [0, 2**64), as _check_common requires
+    state = seed  # in [0, 2**64), as _check_synth requires
     uniforms = []
     for _ in range(2 * ((n + 1) // 2)):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -282,15 +283,23 @@ def _gaussians(seed: int, n: int) -> list[float]:
     return draws[:n]
 
 
-def _check_common(n: int, seed: int, noise_sd: float, **floats) -> tuple:
-    """Check the generators' shared inputs; return n, seed, then noise_sd and each of floats."""
-    noise_sd, *rest = (float_array(value, name, ndim=0, error=ConfigError)
-                       for name, value in {"noise_sd": noise_sd, **floats}.items())
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
-    if (seed := int_value(seed, "seed", 0)) > _MASK64:
+def _check_synth(n: int, seed: int, **params) -> dict:
+    """The synthetic generators' one check, made first by each and by a SynthSource when
+    built: every input by name, n and seed plain ints, coeffs a list, the rest floats."""
+    checked = {"n": int_value(n, "n", 1), "seed": int_value(seed, "seed", 0)}
+    if checked["seed"] > _MASK64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    return int_value(n, "n", 1), seed, noise_sd, *rest
+    for name, value in params.items():
+        checked[name] = float_array(value, name, int(name == "coeffs"), ConfigError)
+    if checked.get("noise_sd", 0.0) < 0:
+        raise ConfigError(f"noise_sd must be >= 0, got {checked['noise_sd']}")
+    if checked.get("period", 1.0) <= 0:
+        raise ConfigError(f"period must be positive, got {checked['period']}")
+    if "coeffs" in checked:
+        checked["coeffs"] = checked["coeffs"].tolist()
+        if (n := checked["n"]) <= (p := len(checked["coeffs"])):
+            raise ConfigError(f"n={n} must exceed the AR order {p}")
+    return checked
 
 
 def synth_seasonal(n: int, period: float = 12, amplitude: float = 1.0, trend: float = 0.0,
@@ -300,29 +309,27 @@ def synth_seasonal(n: int, period: float = 12, amplitude: float = 1.0, trend: fl
     value_i = amplitude * sin(2*pi*i / period) + trend * i + noise_i.
     Deterministic per seed on every platform (see _gaussians).
     """
-    n, seed, noise_sd, amplitude, trend, period = _check_common(
-        n, seed, noise_sd, amplitude=amplitude, trend=trend, period=period)
-    if period <= 0:
-        raise ConfigError(f"period must be positive, got {period}")
+    c = _check_synth(n, seed, period=period, amplitude=amplitude, trend=trend,
+                     noise_sd=noise_sd)
+    n, period = c["n"], c["period"]
     if n < 4 * period:
         warnings.warn(
             f"n={n} covers under four periods of {period:.15g}; seasonal structure may be weak",
             stacklevel=2,
         )
     # 0.0 + keeps zero noise +0.0 after a negative draw (noise_sd * z is -0.0)
-    noise = [0.0 + noise_sd * z for z in _gaussians(seed, n)]
+    noise = [0.0 + c["noise_sd"] * z for z in _gaussians(c["seed"], n)]
     i = np.arange(n, dtype=np.float64)
-    values = amplitude * np.sin(2.0 * np.pi * i / period) + trend * i + np.array(noise)
-    return TimeSeries(name=f"seasonal-{seed}", values=values)
+    values = c["amplitude"] * np.sin(2.0 * np.pi * i / period) + c["trend"] * i + np.array(noise)
+    return TimeSeries(name=f"seasonal-{c['seed']}", values=values)
 
 
 def synth_random_walk(n: int, drift: float = 0.0, noise_sd: float = 1.0,
                       *, seed: int) -> TimeSeries:
     """Random walk from 0: v_{i+1} = v_i + drift + gaussian(0, noise_sd)."""
-    n, seed, noise_sd, drift = _check_common(n, seed, noise_sd, drift=drift)
-    steps = [drift + noise_sd * z for z in _gaussians(seed, n - 1)]
-    values = np.concatenate([[0.0], np.cumsum(steps)]) if n > 1 else np.zeros(1)
-    return TimeSeries(name=f"walk-{seed}", values=values)
+    c = _check_synth(n, seed, drift=drift, noise_sd=noise_sd)
+    steps = [c["drift"] + c["noise_sd"] * z for z in _gaussians(c["seed"], c["n"] - 1)]
+    return TimeSeries(name=f"walk-{c['seed']}", values=np.concatenate([[0.0], np.cumsum(steps)]))
 
 
 def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 0.0,
@@ -332,22 +339,19 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
     The first len(coeffs) values are standard-normal draws from the seed,
     after which value_i = sum_k coeffs[k] * value_{i-1-k} + gaussian(0, noise_sd).
     """
-    coeffs = float_array(coeffs, "coeffs", ndim=1, error=ConfigError).tolist()
-    n, seed, noise_sd = _check_common(n, seed, noise_sd)
+    c = _check_synth(n, seed, coeffs=coeffs, noise_sd=noise_sd)
+    coeffs, n, noise_sd = c["coeffs"], c["n"], c["noise_sd"]
     p = len(coeffs)
-    if n <= p:
-        raise ConfigError(f"n={n} must exceed the AR order {p}")
     companion = np.zeros((p, p))
     companion[0, :] = coeffs
-    if p > 1:
-        companion[1:, :-1] = np.eye(p - 1)
+    companion[1:, :-1] = np.eye(p - 1)
     radius = float(np.max(np.abs(np.linalg.eigvals(companion))))
     if radius >= 1.0:
         warnings.warn(
             f"AR coefficients have spectral radius {radius:.3f} >= 1; series will not be stationary",
             stacklevel=2,
         )
-    draws = _gaussians(seed, n)
+    draws = _gaussians(c["seed"], n)
     values = np.empty(n)
     values[:p] = [0.0 + z for z in draws[:p]]
     for i in range(p, n):
@@ -355,4 +359,11 @@ def synth_ar(coeffs: Sequence[float] = (0.6, 0.3), *, n: int, noise_sd: float = 
         for k in range(p):
             acc += coeffs[k] * values[i - 1 - k]
         values[i] = acc
-    return TimeSeries(name=f"ar-{seed}", values=values)
+    return TimeSeries(name=f"ar-{c['seed']}", values=values)
+
+
+# each synthetic kind's generator, and the parameters it takes: the generator's
+# keyword parameters less n and seed, with their defaults
+_SYNTH_KINDS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
+_SYNTH_PARAMETERS = {kind: {name: p.default for name, p in inspect.signature(g).parameters.items()
+                            if name not in ("n", "seed")} for kind, g in _SYNTH_KINDS.items()}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import polynomial as poly
 from . import rbf
-from .data import TimeSeries, WindowedDataset, float_array, int_value, keeping, load_csv, \
-    make_windows, synth_ar, synth_random_walk, synth_seasonal, take_numbers
+from .data import _SYNTH_KINDS, _SYNTH_PARAMETERS, TimeSeries, WindowedDataset, _check_synth, \
+    float_array, int_value, keeping, load_csv, make_windows, take_numbers
 from .errors import ConfigError, DataError, DegenerateSampleError, FitError, \
     UndefinedMetricError
 from .metrics import MetricReport, metric_report, timed
@@ -49,9 +48,6 @@ class CsvSource:
     __post_init__ = take_numbers
 
 
-_GENERATORS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
-
-
 @dataclass(frozen=True)
 class SynthSource:
     kind: str  # "seasonal", "walk" or "ar"
@@ -62,18 +58,15 @@ class SynthSource:
     _NUMBERS = {"n": (int_value, "n", 1), "seed": (int_value, "seed", 0)}
 
     def __post_init__(self):
-        if (generate := _GENERATORS.get(self.kind)) is None:
+        if (takes := _SYNTH_PARAMETERS.get(self.kind)) is None:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
-        takes = {name: p.default for name, p in inspect.signature(generate).parameters.items()
-                 if name not in ("n", "seed")}
         for name in self.params:
             if name not in takes:
                 raise ConfigError(f"synthetic kind {self.kind!r} takes no parameter {name!r}; "
                                   f"it takes {', '.join(sorted(takes))}")
         take_numbers(self, ConfigError)
-        object.__setattr__(self, "params", {  # a float, or a list of them as coeffs' default
-            name: np.asarray(float_array(value, name, np.ndim(takes[name]), ConfigError)).tolist()
-            for name, value in self.params.items()})
+        checked = _check_synth(self.n, self.seed, **{**takes, **self.params})
+        object.__setattr__(self, "params", {name: checked[name] for name in self.params})
 
 
 DataSource = CsvSource | SynthSource
@@ -84,7 +77,7 @@ def resolve_source(source: DataSource) -> TimeSeries:
     if isinstance(source, CsvSource):
         return load_csv(source.path, source.column)
     if isinstance(source, SynthSource):
-        return _GENERATORS[source.kind](n=source.n, seed=source.seed, **source.params)
+        return _SYNTH_KINDS[source.kind](n=source.n, seed=source.seed, **source.params)
     raise ConfigError(f"unknown data source type {type(source).__name__}")
 
 
@@ -137,8 +130,8 @@ def config_hash(config: ExperimentConfig) -> str:
 def _window_hash(w: WindowedDataset) -> str:
     h = hashlib.sha256()
     h.update(str(w.inputs.shape).encode())
-    h.update(np.ascontiguousarray(w.inputs).tobytes())
-    h.update(np.ascontiguousarray(w.targets).tobytes())
+    h.update(w.inputs.tobytes())
+    h.update(w.targets.tobytes())
     return h.hexdigest()[:16]
 
 

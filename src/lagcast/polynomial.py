@@ -74,7 +74,7 @@ def enumerate_monomials(d: int, k: int) -> MonomialBasis:
     return MonomialBasis(d, k)
 
 
-def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -> np.ndarray:
+def _design_matrix(basis: MonomialBasis, inputs: np.ndarray) -> np.ndarray:
     """Evaluate every basis monomial on every row of a float64 (N, d) array,
     such as a WindowedDataset's inputs.
 
@@ -91,12 +91,9 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
     its column itself, copied once contiguous, because products of
     strided views of a many-row input run slower.
 
-    Each column is computed on its own, so the layout changes no value.
-    fit asks for column-major ("F") order: LAPACK works on columns, and
-    lstsq copies any other layout into that order first, so each column
-    is written and then read as one contiguous run.  rolling_forecast
-    keeps the row-major default: its matrix-vector product has the
-    bits of a row-major design.
+    The design is column-major, with each column computed on its own
+    and written as one contiguous run: LAPACK works on columns, and lstsq
+    copies any other layout into that order first.
     """
     if inputs.shape[1] != basis.window_d:
         raise DataError(
@@ -109,7 +106,7 @@ def _design_matrix(basis: MonomialBasis, inputs: np.ndarray, order: str = "C") -
         # power tables: powers[j][p - 1] = inputs[:, j] ** p
         powers = [[x] + [x ** p for p in range(2, basis.degree_k + 1)]
                   for x in np.ascontiguousarray(inputs.T)]
-        m = np.empty((n, basis.count), order=order)
+        m = np.empty((n, basis.count), order="F")
         m[:, 0] = 1.0
         for col, factors in enumerate(basis.factors[1:], start=1):
             if len(factors) == 1:
@@ -147,14 +144,13 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
     Minimizes |M w - t|^2 + lambda |w|^2 by an SVD-based least-squares
     solve on the design itself, stacked over sqrt(lambda) I when
     lambda > 0; forming M^T M would square its condition number.  The
-    design and the stack are built column-major, the order lstsq would
-    otherwise copy them into (see _design_matrix).  The rank lstsq
-    reports alone decides rank deficiency: constant or exactly collinear
-    windows, or fewer rows than terms, at lambda = 0 (or a lambda too
-    small to lift the rank).  The result is then the minimum-norm
-    least-squares solution, with one warning, since every least-squares
-    solution predicts identically on the training span.  A basis of more
-    than DEFAULT_BASIS_CAP terms is a ConfigError.
+    stack is built column-major, as the design is (see _design_matrix).
+    The rank lstsq reports alone decides rank deficiency: constant or
+    exactly collinear windows, or fewer rows than terms, at lambda = 0 (or
+    a lambda too small to lift the rank).  The result is then the
+    minimum-norm least-squares solution, with one warning, since every
+    least-squares solution predicts identically on the training span.  A
+    basis of more than DEFAULT_BASIS_CAP terms is a ConfigError.
     """
     lam = float_array(ridge_lambda, "ridge_lambda", ndim=0, error=FitError)
     if lam < 0:
@@ -163,7 +159,7 @@ def fit(data: WindowedDataset, degree_k: int, ridge_lambda: float = 0.0) -> Poly
     # a NaN window would otherwise surface as an overflowed design below
     float_array(data.inputs, "training windows", ndim=2)
     float_array(data.targets, "training targets", ndim=1)
-    m = _design_matrix(basis, data.inputs, order="F")
+    m = _design_matrix(basis, data.inputs)
     if not np.all(np.isfinite(m)):
         raise FitError(
             f"design matrix for degree {degree_k} overflowed; "
@@ -196,9 +192,10 @@ def rolling_forecast(model: PolynomialModel, test: WindowedDataset) -> np.ndarra
     inside a batch, but its forecast can differ from the batch's in the
     last bits: BLAS sums a one-row matrix-vector product in another order
     than a many-row one (at degree 3 on the README series, every one of
-    48 test rows, by up to 1.7e-10).
+    48 test rows, by up to 1.7e-10).  The product takes the design
+    row-major; a one-row design is both layouts, so it is not copied.
     """
-    return _design_matrix(model.basis, test.inputs) @ model.weights
+    return np.ascontiguousarray(_design_matrix(model.basis, test.inputs)) @ model.weights
 
 
 def to_json(model: PolynomialModel) -> str:

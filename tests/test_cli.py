@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from hypothesis import given, strategies as st
 from lagcast import cli, errors, polynomial as poly
 from lagcast import rbf
 from lagcast.cli import main
-from lagcast.data import TimeSeries, load_csv, make_windows, synth_seasonal
+from lagcast.data import TimeSeries, load_csv, make_windows, synth_ar, synth_random_walk, \
+    synth_seasonal
 from lagcast.harness import (
     CsvSource, ExperimentConfig, SynthSource, render_report, resolve_source,
     run_comparison, run_degree_sweep,
@@ -22,12 +24,12 @@ from lagcast.harness import (
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "lagcast", *argv],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
 
 
 def write_series(path, values):
-    path.write_text("v\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+    path.write_text("v\n" + "\n".join(repr(float(v)) for v in values) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -60,7 +62,7 @@ def test_pipeline_synth_sweep_compare_forecast(tmp_path):
                 "--rbf-units", "8", "--rbf-epochs", "10", "--rbf-batch", "16",
                 "--rbf-lr", "0.01", "--out", out_json)
     assert r.returncode == 0, r.stderr
-    doc = json.loads(open(out_json).read())
+    doc = json.loads(open(out_json, encoding="utf-8").read())
     assert [m["model"] for m in doc["models"]] == ["PC", "RBFNN"]
     assert doc["verdict"] in ("PC_better", "RBFNN_better",
                               "no_significant_difference")
@@ -73,7 +75,7 @@ def test_pipeline_synth_sweep_compare_forecast(tmp_path):
     r = run_cli("forecast", "--model", str(model_path), "--data", data,
                 "--column", "v", "--out", preds)
     assert r.returncode == 0, r.stderr
-    lines = open(preds).read().splitlines()
+    lines = open(preds, encoding="utf-8").read().splitlines()
     assert lines[0] == "index,prediction"
     assert lines[1].startswith("6,")
     assert len(lines) == 1 + 160 - 6
@@ -85,7 +87,7 @@ def test_pipeline_names_every_file_encoding(tmp_path):
     def run(*argv):
         r = subprocess.run([sys.executable, "-X", "warn_default_encoding",
                             "-W", "error::EncodingWarning", *argv],
-                           capture_output=True, text=True)
+                           capture_output=True, encoding="utf-8")
         assert r.returncode == 0 and "EncodingWarning" not in r.stderr, r.stderr
 
     data, cfg = str(tmp_path / "series.csv"), tmp_path / "run.cfg"
@@ -113,7 +115,7 @@ def test_synth_deterministic_and_headered(tmp_path):
                  "--out", a]) == 0
     assert main(["synth", "--kind", "walk", "--n", "25", "--seed", "7",
                  "--out", b]) == 0
-    ta, tb = open(a).read(), open(b).read()
+    ta, tb = open(a, encoding="utf-8").read(), open(b, encoding="utf-8").read()
     assert ta == tb
     assert ta.splitlines()[0] == "t,v"
 
@@ -145,7 +147,7 @@ def read_by_sweep(*argv):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
 def test_headerless_repr_floats_read_back_bit_for_bit(tmp_path_factory, values):
     p = tmp_path_factory.mktemp("csv") / "vals.csv"
-    p.write_text("".join(f"{v!r}\n" for v in values))
+    p.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
     written = np.array(values).tobytes()
     assert load_csv(p).values.tobytes() == written
     assert read_by_sweep("--data", str(p)).tobytes() == written
@@ -173,12 +175,12 @@ def test_written_files_need_a_column_and_read_back_bit_for_bit(tmp_path, capsys)
 def test_forecast_on_a_headerless_file_keeps_its_first_point(tmp_path, capsys):
     values = 10.0 + np.sin(np.arange(60) / 2.0) + np.random.default_rng(0).normal(0, 0.05, 60)
     data, model, out = tmp_path / "vals.csv", tmp_path / "m.json", tmp_path / "p.csv"
-    data.write_text("".join(f"{float(v)!r}\n" for v in values))
+    data.write_text("".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
     poly.save(poly.fit(make_windows(TimeSeries(name="s", values=values), 3), degree_k=1), model)
     assert main(["forecast", "--model", str(model), "--data", str(data),
                  "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 57 predictions to {out}\n"
-    assert out.read_text().splitlines()[1].startswith("3,")
+    assert out.read_text(encoding="utf-8").splitlines()[1].startswith("3,")
 
 
 # ----------------------------------------------------------------- sweep CLI
@@ -189,7 +191,7 @@ def test_sweep_csv_format_and_out_file(tmp_path, capsys):
     code = main(["sweep", "--data", data, "--column", "v", "--window", "4",
                  "--degrees", "1,2", "--format", "csv", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "degree,exec_seconds,mae,rmse,cv_rmse_pct,error"
     assert len(lines) == 3
     assert capsys.readouterr().out == ""
@@ -202,7 +204,7 @@ def test_sweep_degree_list_forms(tmp_path, capsys):
         assert main(["sweep", "--data", data, "--column", "v", "--window", "4",
                      "--degrees", spec, "--format", "csv",
                      "--out", str(out)]) == 0
-        got = [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]]
+        got = [ln.split(",")[0] for ln in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert got == expected
 
 
@@ -355,7 +357,7 @@ def test_growth_options_are_unknown_options(tmp_path, capsys, monkeypatch):
     for name in ("run_comparison", "run_comparison_suite"):
         monkeypatch.setattr(cli, name, refuse_work)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("rbf_target_mse = 0.1\nrbf_max_units = 8\n")
+    cfg.write_text("rbf_target_mse = 0.1\nrbf_max_units = 8\n", encoding="utf-8")
     data = ["--data", seasonal_csv(tmp_path, n=120), "--column", "v"]
     for growth, name in ((["--rbf-target-mse", "0.1", "--rbf-max-units", "8"],
                           "unknown option --rbf-target-mse"),
@@ -375,6 +377,19 @@ def test_synth_parameter_of_another_kind_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and "'drift'" in err and "'seasonal'" in err
     assert not out.exists()
+
+
+def test_synth_generator_flags_are_the_generators_keyword_parameters():
+    takes = {name: p.default for generate in (synth_seasonal, synth_random_walk, synth_ar)
+             for name, p in inspect.signature(generate).parameters.items()
+             if name not in ("n", "seed")}
+    flags = {key: (conv, target) for key, (conv, _, target) in cli._SPECS["synth"].items()
+             if target.startswith("gen.")}
+    assert list(flags) == list(takes) == ["period", "amplitude", "trend", "noise_sd", "drift",
+                                          "coeffs"]
+    for name, default in takes.items():
+        conv = cli._parse_float_list if isinstance(default, tuple) else float
+        assert flags[name] == (conv, f"gen.{name}")
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -527,7 +542,7 @@ def test_closed_stdout_is_exit_2_with_one_line(tmp_path, series, argv):
     # default buffering, so the last write can wait for the flush at exit
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen([sys.executable, "-m", "lagcast", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8")
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 2
@@ -551,7 +566,7 @@ def test_forecast_missing_model_is_exit_3(tmp_path, capsys):
 
 def test_forecast_rejects_foreign_json(tmp_path, capsys):
     bogus = tmp_path / "m.json"
-    bogus.write_text(json.dumps({"weights": [1, 2]}))
+    bogus.write_text(json.dumps({"weights": [1, 2]}), encoding="utf-8")
     data = seasonal_csv(tmp_path)
     assert main(["forecast", "--model", str(bogus), "--data", data,
                  "--out", str(tmp_path / "p.csv")]) == 3
@@ -638,7 +653,7 @@ def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
     else:
         doc[field][index] = value
     model = tmp_path / "m.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "p.csv"
     code = main(["forecast", "--model", str(model), "--data", seasonal_csv(tmp_path),
                  "--column", "v", "--out", str(out)])
@@ -657,7 +672,7 @@ def test_forecast_overflow_prints_one_line(tmp_path):
     data = seasonal_csv(tmp_path)
     for kind, doc in (("poly", poly_doc), ("rbf", rbf_doc)):
         model, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
-        model.write_text(json.dumps(doc))
+        model.write_text(json.dumps(doc), encoding="utf-8")
         r = run_cli("forecast", "--model", str(model), "--data", data, "--column", "v",
                     "--out", str(out))
         assert r.returncode == 3, kind
@@ -668,7 +683,7 @@ def test_forecast_overflow_prints_one_line(tmp_path):
 
 def test_forecast_deeply_nested_model_is_exit_3(tmp_path, capsys):
     model = tmp_path / "m.json"
-    model.write_text('{"exponents": ' + "[" * 100_000)
+    model.write_text('{"exponents": ' + "[" * 100_000, encoding="utf-8")
     out = tmp_path / "p.csv"
     code = main(["forecast", "--model", str(model), "--data", seasonal_csv(tmp_path),
                  "--column", "v", "--out", str(out)])
@@ -696,7 +711,7 @@ def test_compare_zero_mean_test_span_is_exit_3(tmp_path, capsys):
 def test_out_in_missing_directory_is_exit_2(tmp_path, capsys, command):
     data = seasonal_csv(tmp_path, n=120)
     model = tmp_path / "m.json"
-    model.write_text(json.dumps(model_doc("poly", tmp_path)))
+    model.write_text(json.dumps(model_doc("poly", tmp_path)), encoding="utf-8")
     out = tmp_path / "missing" / "out.txt"
     argv = {
         "synth": ["--kind", "walk", "--n", "50"],
@@ -715,7 +730,7 @@ def test_out_in_missing_directory_is_exit_2(tmp_path, capsys, command):
 def test_import_leaves_scipy_unloaded():
     r = subprocess.run(
         [sys.executable, "-c", "import sys, lagcast; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
@@ -726,7 +741,7 @@ def test_import_loads_numpy_random():
     # that, its import would count as RBFNN execution time
     r = subprocess.run(
         [sys.executable, "-c", "import sys, lagcast; print('numpy.random' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "True"
@@ -736,7 +751,7 @@ def test_import_leaves_argparse_unloaded():
     r = subprocess.run(
         [sys.executable, "-c",
          "import sys, lagcast.cli; print('argparse' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
@@ -770,7 +785,7 @@ def test_help_as_a_value_runs_the_command(tmp_path, capsys, monkeypatch):
     argv = ["sweep", "--data", seasonal_csv(tmp_path), "--window", "4", "--degrees", "1"]
     assert main([*argv, "--column", "v", "--out", "-h"]) == 0
     assert capsys.readouterr().out == ""
-    assert (tmp_path / "-h").read_text().startswith("### series")
+    assert (tmp_path / "-h").read_text(encoding="utf-8").startswith("### series")
     assert main([*argv, "--column", "-h"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("data error")
@@ -801,7 +816,7 @@ def test_flag_forms_and_config_key_agree(tmp_path, command, name):
                 if default is cli._REQUIRED and k != key]
     flag = "--" + name.replace("_", "-")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{name} = {text}\n")
+    cfg.write_text(f"{name} = {text}\n", encoding="utf-8")
     got = [cli._effective(*cli._parse_argv([command, *required, *form]))
            for form in ([flag, text], [f"{flag}={text}"], ["--config", str(cfg)])]
     assert got[0] == got[1] == got[2]
@@ -818,7 +833,7 @@ def test_config_file_supplies_flags(tmp_path, capsys):
         "column = v\n"
         "window = 4   # lag count\n"
         "degrees = 1,2\n"
-        "format = csv\n".format(data)
+        "format = csv\n".format(data), encoding="utf-8"
     )
     assert main(["sweep", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
@@ -830,7 +845,7 @@ def test_config_comment_and_blank_lines_run_like_flags(tmp_path, capsys):
     data = seasonal_csv(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a sweep of the seasonal series\n\ndata = {data}\n"
-                   "   # two degrees only\ndegrees = 1,2\n\nformat = csv\n")
+                   "   # two degrees only\ndegrees = 1,2\n\nformat = csv\n", encoding="utf-8")
     flags = ["--data", data, "--degrees", "1,2", "--format", "csv"]
     assert (cli._effective(*cli._parse_argv(["sweep", "--config", str(cfg)]))
             == cli._effective(*cli._parse_argv(["sweep", *flags])))
@@ -843,7 +858,7 @@ def test_explicit_flag_beats_config_file(tmp_path, capsys):
     data = seasonal_csv(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"data = {data}\ncolumn = v\nwindow = 4\n"
-                   "degrees = 1,2\nformat = csv\n")
+                   "degrees = 1,2\nformat = csv\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg), "--degrees", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and lines[1].startswith("3,")
@@ -851,14 +866,14 @@ def test_explicit_flag_beats_config_file(tmp_path, capsys):
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("data = x.csv\nwheels = 4\n")
+    cfg.write_text("data = x.csv\nwheels = 4\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "wheels" in capsys.readouterr().err
 
 
 def test_malformed_config_line_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("just some words\n")
+    cfg.write_text("just some words\n", encoding="utf-8")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "line 1" in capsys.readouterr().err
 
@@ -910,7 +925,7 @@ def test_compare_rbf_forecast_round_trip(tmp_path):
     out = tmp_path / "preds.csv"
     assert main(["forecast", "--model", str(model_path), "--data", data,
                  "--column", "v", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 120 - 6
     got = np.array([float(ln.split(",")[1]) for ln in lines[1:]])
     assert np.array_equal(got, rbf.batch_forward(net, windows.inputs))

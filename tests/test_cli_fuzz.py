@@ -52,7 +52,8 @@ hostile_floats = st.one_of(
 
 def write_csv(directory: Path, values, name="series.csv", header=True) -> str:
     path = directory / name
-    path.write_text(("v\n" if header else "") + "".join(f"{float(v)!r}\n" for v in values))
+    path.write_text(("v\n" if header else "") + "".join(f"{float(v)!r}\n" for v in values),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -70,7 +71,7 @@ def run(argv, out: Path | None = None) -> int:
     else:
         text = stdout.getvalue()
         if out is not None and out.is_file():
-            text += out.read_text()
+            text += out.read_text(encoding="utf-8")
         assert not NON_FINITE.search(text), text
     return code
 
@@ -107,7 +108,7 @@ def test_forecast_hostile_model_documents(kind, mutation, value, cut, key, d):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         model = tmp / "m.json"
-        model.write_text(text)
+        model.write_text(text, encoding="utf-8")
         out = tmp / "p.csv"
         run(["forecast", "--model", str(model), "--data", write_csv(tmp, SERIES),
              "--column", "v", "--out", str(out)], out)
@@ -129,7 +130,7 @@ def test_out_of_range_columns(command, column, header):
             argv += ["--window", "3", "--degrees", "1,2"]
         else:
             model = tmp / "m.json"
-            model.write_text(json.dumps(POLY_DOC))
+            model.write_text(json.dumps(POLY_DOC), encoding="utf-8")
             argv += ["--model", str(model), "--out", str(tmp / "p.csv")]
         run(argv, tmp / "p.csv")
 
@@ -148,7 +149,7 @@ def test_empty_and_tiny_csvs(command, rows, header):
             argv += QUICK_RBF
         if command == "forecast":
             model = tmp / "m.json"
-            model.write_text(json.dumps(RBF_DOC))
+            model.write_text(json.dumps(RBF_DOC), encoding="utf-8")
             argv += ["--model", str(model), "--out", str(tmp / "p.csv")]
         run(argv, tmp / "p.csv")
 
@@ -191,7 +192,7 @@ def test_unwritable_out(command, target):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = write_csv(tmp, SERIES)
-        (tmp / "file").write_text("")
+        (tmp / "file").write_text("", encoding="utf-8")
         out = {"missing-dir": tmp / "missing" / "out",
                "under-a-file": tmp / "file" / "out",
                "a-directory": tmp}[target]
@@ -201,5 +202,5 @@ def test_unwritable_out(command, target):
             "compare": ["--data", data, "--column", "v", "--window", "3", *QUICK_RBF],
             "forecast": ["--model", str(tmp / "m.json"), "--data", data, "--column", "v"],
         }[command]
-        (tmp / "m.json").write_text(json.dumps(POLY_DOC))
+        (tmp / "m.json").write_text(json.dumps(POLY_DOC), encoding="utf-8")
         assert run([command, *argv, "--out", str(out)]) == 2

@@ -250,7 +250,7 @@ _VALID_THERE = {("load_csv-column", "text"), ("load_csv-column", "none"),
 def test_a_bad_integer_is_refused_with_the_sites_error(tmp_path, case, bad):
     error, low, call = _INT_CASES[case]
     csv = tmp_path / "a.csv"
-    csv.write_text("a,b\n1,2\n3,4\n5,6\n")
+    csv.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
     with pytest.raises(error, match="must be an integer"):
         call(_BAD_INTS[bad](low), csv)
 
@@ -269,7 +269,7 @@ def test_int_value_accepts_numpy_integers_as_plain_ints():
 
 def test_load_csv_named_column(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("date,v\n1,5.0\n2,6.5\n")
+    p.write_text("date,v\n1,5.0\n2,6.5\n", encoding="utf-8")
     ts = load_csv(p, value_column="v")
     assert ts.values.tolist() == [5.0, 6.5]
     assert ts.name == "a"
@@ -277,14 +277,14 @@ def test_load_csv_named_column(tmp_path):
 
 def test_load_csv_indexed_second_column(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("date,v\n2020-01,5.0\n2020-02,6.5\n")
+    p.write_text("date,v\n2020-01,5.0\n2020-02,6.5\n", encoding="utf-8")
     ts = load_csv(p, value_column=1)
     assert ts.values.tolist() == [5.0, 6.5]
 
 
 def test_load_csv_single_column_no_header(tmp_path):
     p = tmp_path / "vals.csv"
-    p.write_text("1.5\n2.5\n3.5\n")
+    p.write_text("1.5\n2.5\n3.5\n", encoding="utf-8")
     assert load_csv(p).values.tolist() == [1.5, 2.5, 3.5]
 
 
@@ -296,21 +296,21 @@ def test_load_csv_single_column_no_header(tmp_path):
 ], ids=["header", "header-by-index", "numeric-header-is-data"])
 def test_load_csv_first_line_is_a_header_unless_a_number(tmp_path, text, column, want):
     p = tmp_path / "a.csv"
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     assert load_csv(p, column).values.tolist() == want
 
 
 @pytest.mark.parametrize("first", ["nan", "inf", "-inf", "1e999"])
 def test_load_csv_non_finite_first_line_is_data(tmp_path, first):
     p = tmp_path / "a.csv"
-    p.write_text(f"{first}\n1\n2\n")
+    p.write_text(f"{first}\n1\n2\n", encoding="utf-8")
     with pytest.raises(DataError, match=f"row 1: non-finite value '{first}'"):
         load_csv(p)
 
 
 def test_load_csv_first_line_without_the_column_is_data(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("v\n1,2\n3,4\n")
+    p.write_text("v\n1,2\n3,4\n", encoding="utf-8")
     with pytest.raises(DataError, match="row 1 has no column 1"):
         load_csv(p, 1)
 
@@ -327,7 +327,7 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path, text, column, want):
 
 def test_load_csv_many_columns_need_a_column(tmp_path):
     p = tmp_path / "s.csv"
-    p.write_text("t,v\n0,1.5\n1,2.5\n")
+    p.write_text("t,v\n0,1.5\n1,2.5\n", encoding="utf-8")
     with pytest.raises(DataError) as info:
         load_csv(p)
     assert str(info.value) == f"{p}: row 1 has 2 columns (t, v); choose one by name or index"
@@ -335,27 +335,27 @@ def test_load_csv_many_columns_need_a_column(tmp_path):
 
 def test_load_csv_tolerates_whitespace(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("v\n 5.0 \n\t6.5\n")
+    p.write_text("v\n 5.0 \n\t6.5\n", encoding="utf-8")
     assert load_csv(p, value_column="v").values.tolist() == [5.0, 6.5]
 
 
 def test_load_csv_bad_cell_names_the_row(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("v\n5.0\nabc\n")
+    p.write_text("v\n5.0\nabc\n", encoding="utf-8")
     with pytest.raises(DataError, match="row 3"):
         load_csv(p, value_column="v")
 
 
 def test_load_csv_rejects_nonfinite_cell(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("v\n5.0\ninf\n")
+    p.write_text("v\n5.0\ninf\n", encoding="utf-8")
     with pytest.raises(DataError, match="row 3"):
         load_csv(p, value_column="v")
 
 
 def test_load_csv_too_few_rows(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("v\n5.0\n")
+    p.write_text("v\n5.0\n", encoding="utf-8")
     with pytest.raises(DataError, match="at least 2 data rows"):
         load_csv(p, value_column="v")
 
@@ -367,7 +367,7 @@ def test_load_csv_missing_file(tmp_path):
 
 def test_load_csv_unknown_column(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("v\n5.0\n6.0\n")
+    p.write_text("v\n5.0\n6.0\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_csv(p, value_column="w")
     with pytest.raises(DataError):
@@ -378,7 +378,7 @@ def test_load_csv_unknown_column(tmp_path):
 
 def test_load_csv_named_column_needs_header(tmp_path):
     p = tmp_path / "a.csv"
-    p.write_text("5.0\n6.0\n")
+    p.write_text("5.0\n6.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"no column named 'v' in header \(row 1\)"):
         load_csv(p, value_column="v")
 
@@ -595,6 +595,48 @@ def test_generator_bytes_are_pinned(make, kwargs, digest):
     # arithmetic (signed zeros included) changes these SHA-256 digests.
     values = make(**kwargs).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+_SYNTH_GENERATORS = {"seasonal": synth_seasonal, "walk": synth_random_walk, "ar": synth_ar}
+# one bad value per synthetic rule, as (kind, n, seed, params, message); the
+# first four built as a SynthSource before the generators' check ran there
+_SYNTH_RULES = {
+    "noise_sd-negative": ("seasonal", 50, 0, {"noise_sd": -1}, "noise_sd must be >= 0, got -1.0"),
+    "period-zero": ("seasonal", 50, 0, {"period": 0}, "period must be positive, got 0.0"),
+    "seed-2-to-the-64": ("walk", 50, 2**64, {},
+                         "seed must be in [0, 2**64), got 18446744073709551616"),
+    "ar-default-order": ("ar", 2, 0, {}, "n=2 must exceed the AR order 2"),
+    "ar-order": ("ar", 3, 0, {"coeffs": [0.5, 0.2, 0.1]}, "n=3 must exceed the AR order 3"),
+    "period-negative": ("seasonal", 50, 0, {"period": -4.5}, "period must be positive, got -4.5"),
+    "walk-noise_sd-negative": ("walk", 50, 0, {"noise_sd": -0.5},
+                               "noise_sd must be >= 0, got -0.5"),
+    "ar-noise_sd-negative": ("ar", 50, 0, {"noise_sd": -2}, "noise_sd must be >= 0, got -2.0"),
+    "n-zero": ("walk", 0, 0, {}, "n must be an integer >= 1, got 0"),
+    "n-float": ("ar", 10.0, 0, {}, "n must be an integer >= 1, got 10.0"),
+    "seed-negative": ("seasonal", 50, -1, {}, "seed must be an integer >= 0, got -1"),
+    "amplitude-nan": ("seasonal", 50, 0, {"amplitude": math.nan}, "amplitude must be finite, got nan"),
+    "trend-inf": ("seasonal", 50, 0, {"trend": math.inf}, "trend must be finite, got inf"),
+    "drift-list": ("walk", 50, 0, {"drift": [0.1]}, "drift must be a number"),
+    "noise_sd-text": ("walk", 50, 0, {"noise_sd": "1"},
+                      "noise_sd must be numbers within float range"),
+    "coeffs-empty": ("ar", 50, 0, {"coeffs": []}, "coeffs must be a non-empty 1-D array"),
+    "coeffs-scalar": ("ar", 50, 0, {"coeffs": 0.5}, "coeffs must be a non-empty 1-D array"),
+    "coeffs-2-d": ("ar", 50, 0, {"coeffs": [[0.5]]}, "coeffs must be a non-empty 1-D array"),
+    "coeffs-nan": ("ar", 50, 0, {"coeffs": [0.5, math.nan]},
+                   "coeffs must be finite, got nan at index 1"),
+}
+
+
+@pytest.mark.parametrize("kind, n, seed, params, message", _SYNTH_RULES.values(),
+                         ids=_SYNTH_RULES)
+def test_a_synthetic_rule_refuses_a_source_when_built_as_its_generator(kind, n, seed, params,
+                                                                       message):
+    with pytest.raises(ConfigError) as built:
+        SynthSource(kind, n, seed, params)
+    with pytest.raises(ConfigError) as made:
+        _SYNTH_GENERATORS[kind](n=n, seed=seed, **params)
+    assert type(built.value) is type(made.value) is ConfigError
+    assert str(built.value) == str(made.value) == message
 
 
 # ------------------------------------------------------------ model documents

@@ -124,7 +124,7 @@ def test_resolve_unknown_source_type():
 
 def test_resolve_csv(tmp_path):
     p = tmp_path / "x.csv"
-    p.write_text("v\n1.0\n2.0\n3.0\n")
+    p.write_text("v\n1.0\n2.0\n3.0\n", encoding="utf-8")
     ts = resolve_source(CsvSource(path=str(p), column="v"))
     assert ts.values.tolist() == [1.0, 2.0, 3.0]
 
@@ -189,7 +189,7 @@ def test_sweep_row_per_degree_and_failures_flagged(tmp_path):
     # values around 1e80 overflow the degree-5 design but not degree 1
     p = tmp_path / "big.csv"
     rows = "\n".join(repr(1e80 + i * 1e70) for i in range(30))
-    p.write_text("v\n" + rows + "\n")
+    p.write_text("v\n" + rows + "\n", encoding="utf-8")
     cfg = ExperimentConfig(
         source=CsvSource(path=str(p), column="v"),
         window_d=2, degrees=(1, 5), rbf_config=QUICK_RBF,
@@ -224,7 +224,7 @@ def test_comparison_structure_and_hashes():
 
 def test_comparison_constant_series_degenerates(tmp_path):
     p = tmp_path / "const.csv"
-    p.write_text("v\n" + "\n".join(["7.5"] * 40) + "\n")
+    p.write_text("v\n" + "\n".join(["7.5"] * 40) + "\n", encoding="utf-8")
     cfg = ExperimentConfig(
         source=CsvSource(path=str(p), column="v"),
         window_d=3, degrees=(1,), rbf_config=QUICK_RBF,
@@ -319,7 +319,7 @@ def _seasonal(n=120, seed=0, period=12.0):
 def test_numpy_and_int_valued_sources_report_like_plain_ones(tmp_path, source, twin):
     csv = tmp_path / "a.csv"
     values = resolve_source(_seasonal()).values + 2.0
-    csv.write_text("".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+    csv.write_text("".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist())), encoding="utf-8")
     _reports_like(seasonal_config(source=source(csv)), seasonal_config(source=twin(csv)))
 
 
@@ -393,7 +393,7 @@ def test_model_functions_are_looked_up_at_call_time(monkeypatch, tmp_path):
 
     series = resolve_source(seasonal_config().source)
     data = tmp_path / "series.csv"
-    data.write_text("v\n" + "\n".join(map(repr, series.values.tolist())) + "\n")
+    data.write_text("v\n" + "\n".join(map(repr, series.values.tolist())) + "\n", encoding="utf-8")
     windows = make_windows(series, 6)
     poly.save(poly.fit(windows, 1), tmp_path / "poly.json")
     rbf.save(rbf.fit_fixed(windows.inputs, windows.targets, QUICK_RBF)[0], tmp_path / "rbf.json")
@@ -552,7 +552,8 @@ def test_render_dispatch():
 
 def test_sweep_render_marks_failures(tmp_path):
     p = tmp_path / "big.csv"
-    p.write_text("v\n" + "\n".join(repr(1e80 + i * 1e70) for i in range(30)) + "\n")
+    p.write_text("v\n" + "\n".join(repr(1e80 + i * 1e70) for i in range(30)) + "\n",
+                 encoding="utf-8")
     cfg = ExperimentConfig(source=CsvSource(path=str(p), column="v"),
                            window_d=2, degrees=(5,), rbf_config=QUICK_RBF)
     result = run_degree_sweep(cfg)

@@ -44,7 +44,7 @@ def test_scan_flags_an_unused_name():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -68,7 +68,7 @@ def test_scan_flags_a_foreign_import():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_stdlib_and_numpy(path):
-    assert foreign_imports(path.read_text()) == []
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 # ----------------------------------------------- one intake for float arrays
@@ -107,7 +107,7 @@ def test_scan_flags_a_float_conversion():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_float_array_converts_to_float(path):
-    assert float_conversions(path.read_text()) == []
+    assert float_conversions(path.read_text(encoding="utf-8")) == []
 
 
 # ------------------------------------------------ one intake table per record
@@ -205,7 +205,7 @@ def perfbench_reads() -> set[tuple[str, str]]:
     name bound to lagcast or one of its modules."""
     reads = set()
     for name in ("workloads.py", "run.py", "child.py"):
-        tree = ast.parse((PERFBENCH / name).read_text())
+        tree = ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
         bound = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -234,7 +234,7 @@ def test_every_lagcast_name_perfbench_reads_exists():
 
 
 def test_every_traced_layer_exists_but_the_stale_ones():
-    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
     layers = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
                   and getattr(node.targets[0], "id", None) == "LAYERS")

@@ -54,7 +54,8 @@ def gaussian_windows(n, d, seed):
 
 
 def design_of(model, data):
-    return _design_matrix(model.basis, data.inputs)
+    """The design in row-major order, as rolling_forecast multiplies it."""
+    return np.ascontiguousarray(_design_matrix(model.basis, data.inputs))
 
 
 # ------------------------------------------------ least-squares solve in fit
@@ -169,8 +170,8 @@ def test_one_row_design_is_row_major_and_forecasts_its_batch_row():
     batch = rolling_forecast(model, test)
     for i in (0, 17, len(test) - 1):
         row = WindowedDataset(8, test.inputs[i:i + 1], test.targets[i:i + 1])
-        design = design_of(model, row)
-        assert design.flags.c_contiguous
+        design = _design_matrix(model.basis, row.inputs)
+        assert design.flags.c_contiguous  # so rolling_forecast does not copy it
         assert design.tobytes() == batch_design[i].tobytes()
         got = rolling_forecast(model, row)
         assert got.tobytes() == np.array([batch_design[i] @ model.weights]).tobytes()

@@ -27,7 +27,7 @@ def recipe_commands(text):
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
-    blocks = python_blocks(README.read_text())
+    blocks = python_blocks(README.read_text(encoding="utf-8"))
     assert len(blocks) >= 2  # the quick start and the one-call comparison
     monkeypatch.chdir(tmp_path)
     namespace = {}  # later blocks build on names the first one defines
@@ -37,7 +37,7 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
 
 
 def test_readme_command_line_recipe_runs(tmp_path, monkeypatch, capsys):
-    commands = recipe_commands(README.read_text())
+    commands = recipe_commands(README.read_text(encoding="utf-8"))
     assert [argv[0] for argv in commands] == ["synth", "sweep", "compare", "forecast"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
@@ -50,5 +50,5 @@ def test_readme_command_line_recipe_runs(tmp_path, monkeypatch, capsys):
         assert argv[0] != "compare" or "warning:" not in err
     want = poly.rolling_forecast(model, make_windows(load_csv("series.csv", "v"), 8))
     assert np.array_equal(load_csv("preds.csv", "prediction").values, want)
-    models = json.loads(Path("report.json").read_text())["models"]
+    models = json.loads(Path("report.json").read_text(encoding="utf-8"))["models"]
     assert all(m["cv_rmse_pct"] > 0 for m in models)
