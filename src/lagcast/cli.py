@@ -29,7 +29,6 @@ from .harness import (
     REPORT_FORMATS, CsvSource, ExperimentConfig, SynthSource, _forecast, render_report,
     resolve_source, run_comparison, run_comparison_suite, run_degree_sweep,
 )
-from .rbf import RbfTrainConfig
 
 # a longer --degrees or --seeds range is a typo, not an experiment
 _MAX_RANGE = 100_000
@@ -238,7 +237,7 @@ def _cmd_sweep(g: dict):
 
 def _cmd_compare(g: dict):
     config = ExperimentConfig(source=CsvSource(**g["csv"]),
-                              rbf_config=RbfTrainConfig(**g["rbf"]), **g["exp"])
+                              rbf_config=rbf.RbfTrainConfig(**g["rbf"]), **g["exp"])
     if len(config.seeds) == 1:
         result = run_comparison(config)
     else:

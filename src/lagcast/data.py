@@ -9,7 +9,6 @@ predict the value immediately after each window.  Everything downstream
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import json
 import math
@@ -34,10 +33,10 @@ def float_array(values, what: str, ndim: int | None = None,
     one holding NaN or an infinity, naming `what` and the first such index.
     """
     try:
-        raw = values if isinstance(values, np.ndarray) else np.asarray(values)
-        if (kind := raw.dtype.kind) == "b" or kind in "SUO" and any(
-                isinstance(v, (str, bytes, type(None))) for v in raw.flat):
-            raise TypeError  # numpy reads True as 1.0, "1.5" as a number and None as NaN
+        raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+        if raw.dtype.kind in "bSUO" and any(issubclass(t, (bool, np.bool_, str, bytes, type(None)))
+                                            for t in {*map(type, raw.ravel())}):
+            raise TypeError  # numpy reads True as 1.0, in a list too, "1.5" as 1.5, None as NaN
         array = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} must be numbers within float range") from None
@@ -208,12 +207,6 @@ def make_windows(series: TimeSeries, d: int) -> WindowedDataset:
 
 
 MODEL_SCHEMA_VERSION = 1
-# each kind, named with its article, to its fields {name: (list depth, int or
-# float)}; a kind's first field marks its documents
-MODEL_LAYOUTS = {"a polynomial": {"exponents": (2, int), "d": (0, int), "K": (0, int),
-                                  "lambda": (0, float), "weights": (1, float)},
-                 "an RBF": {"centers": (2, float), "d": (0, int), "widths": (1, float),
-                            "out_weights": (1, float), "bias": (0, float)}}
 
 
 def write_model_document(fields: dict) -> str:
@@ -222,11 +215,17 @@ def write_model_document(fields: dict) -> str:
                        **{key: np.asarray(v).tolist() for key, v in fields.items()}}, indent=2)
 
 
-def read_model_document(text: str, kind: str | None = None) -> tuple[str, dict]:
-    """Parse a model document of the given kind, else of any; return (kind, fields).
+class _ModelFields(dict):
+    """A model document's fields as JSON gave them; reading a missing one is a DataError."""
 
-    Fields come back as int64 or float64 arrays.  A malformation, such as a
-    boolean, a string, NaN, or 4.5 for an integer, is a DataError.
+    def __missing__(self, key):
+        raise DataError(f"model document missing field {key!r}")
+
+
+def read_model_document(text: str) -> tuple[str, dict]:
+    """Parse a model document's envelope, a JSON object of this schema_version
+    marked by exponents or centers; return (its kind, its fields as JSON gave
+    them).  The records the fields build check their numbers.
     """
     try:
         doc = json.loads(text)
@@ -234,24 +233,13 @@ def read_model_document(text: str, kind: str | None = None) -> tuple[str, dict]:
         raise DataError(f"model document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("model document must be a JSON object")
-    kind = kind or next((k for k in MODEL_LAYOUTS if next(iter(MODEL_LAYOUTS[k])) in doc), None)
+    kind = "a polynomial" if "exponents" in doc else "an RBF" if "centers" in doc else None
     if kind is None:
-        raise DataError(f"model document is neither {' nor '.join(MODEL_LAYOUTS)} model document")
+        raise DataError("model document is neither a polynomial nor an RBF model document")
     version = doc.get("schema_version")
     if type(version) is not int or version != MODEL_SCHEMA_VERSION:
         raise DataError(f"unsupported model schema_version {version!r}")
-    fields = {}
-    for key, (depth, number) in MODEL_LAYOUTS[kind].items():
-        if key not in doc:
-            raise DataError(f"model document missing field {key!r}")
-        array = np.array(doc[key], dtype=object)
-        if array.ndim == depth and {type(v) for v in array.flat} <= {int, number}:
-            with contextlib.suppress(OverflowError):  # an integer beyond int64 or float
-                fields[key] = array.astype(number)
-        if not np.all(np.isfinite(fields.get(key, np.nan))):
-            what = "integers" if number is int else "finite numbers"
-            raise DataError(f"model field {key!r} must hold {what} at list depth {depth}")
-    return kind, fields
+    return kind, _ModelFields(doc)
 
 
 _MASK64 = (1 << 64) - 1

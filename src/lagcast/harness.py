@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -45,7 +46,11 @@ class CsvSource:
     column: str | int | None = None  # a name, a 0-based index, or None for a file's only column
 
     _NUMBERS = {"column": (keeping(int_value, str, type(None)), "{path}: column index", 0)}
-    __post_init__ = take_numbers
+
+    def __post_init__(self):
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise ConfigError(f"path must be a file path, got {type(self.path).__name__}")
+        take_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,10 @@ class SynthSource:
     _NUMBERS = {"n": (int_value, "n", 1), "seed": (int_value, "seed", 0)}
 
     def __post_init__(self):
-        if (takes := _SYNTH_PARAMETERS.get(self.kind)) is None:
+        if not isinstance(self.kind, str) or (takes := _SYNTH_PARAMETERS.get(self.kind)) is None:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be a dict of parameter values, got {self.params!r}")
         for name in self.params:
             if name not in takes:
                 raise ConfigError(f"synthetic kind {self.kind!r} takes no parameter {name!r}; "
@@ -99,6 +106,10 @@ class ExperimentConfig:
                 "ridge_lambda": (float_array, "ridge_lambda", 0)}
 
     def __post_init__(self):
+        for name, kind, what in (("source", DataSource, "a CsvSource or SynthSource"),
+                                 ("rbf_config", RbfTrainConfig, "an RbfTrainConfig")):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigError(f"{name} must be {what}, got {type(value).__name__}")
         take_numbers(self, ConfigError)
         for name in ("train_fraction", "alpha"):
             if not 0.0 < getattr(self, name) < 1.0:

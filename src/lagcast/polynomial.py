@@ -8,6 +8,7 @@ is no iterative training loop.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -211,13 +212,13 @@ def from_document(fields: dict) -> PolynomialModel:
         basis = enumerate_monomials(fields["d"], fields["K"])
     except ConfigError as exc:
         raise DataError(f"model document has no usable basis: {exc}") from exc
-    if not np.array_equal(fields["exponents"], basis.exponents):
+    if json.dumps(fields["exponents"]) != json.dumps(basis.exponents):  # true, 1.0 are not 1
         raise DataError("model exponents do not match the canonical basis for (d, K)")
     return PolynomialModel(basis, fields["weights"], fields["lambda"])
 
 
 def from_json(text: str) -> PolynomialModel:
-    return from_document(read_model_document(text, "a polynomial")[1])
+    return from_document(read_model_document(text)[1])
 
 
 def save(model: PolynomialModel, path: str | Path):

@@ -610,14 +610,14 @@ def to_json(net: RbfNetwork) -> str:
 
 def from_document(fields: dict) -> RbfNetwork:
     """The network of an RBF document's fields, as read_model_document returns them."""
-    if fields["centers"].shape[1] != fields["d"]:
+    net = RbfNetwork(fields["centers"], fields["widths"], fields["out_weights"], fields["bias"])
+    if int_value(fields["d"], "model d", 1, DataError) != net.window_d:
         raise DataError("centers shape does not match the declared window size")
-    return RbfNetwork(centers=fields["centers"], widths=fields["widths"],
-                      out_weights=fields["out_weights"], bias=fields["bias"])
+    return net
 
 
 def from_json(text: str) -> RbfNetwork:
-    return from_document(read_model_document(text, "an RBF")[1])
+    return from_document(read_model_document(text)[1])
 
 
 def save(net: RbfNetwork, path: str | Path):

@@ -175,7 +175,7 @@ def _normal_tail(n: int, w_min: float, tie_counts: np.ndarray) -> float:
     mu = n * (n + 1) / 4.0
     # sigma2 > 0: the tie term peaks when all n magnitudes tie (t^3 - t is
     # superadditive), where sigma2 = n(n+1)(2n+1)/24 - (n^3 - n)/48 = n(n+1)^2/16
-    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
+    tie_term = float(np.sum(tie_counts ** 3.0 - tie_counts)) / 48.0
     sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     z = (w_min - mu + 0.5) / math.sqrt(sigma2)
     return min(1.0, 2.0 * _normal_cdf(z))

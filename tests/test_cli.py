@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import functools
 import inspect
 import json
 import os
@@ -637,12 +638,26 @@ def model_doc(kind, tmp_path):
     ("poly", "schema_version", None, True),
     ("rbf", "bias", None, True),
     ("rbf", "widths", 0, "1"),
+    # the exponents of y1 at d 4, K 1, with 1 as true or 1.0
+    ("poly", "exponents", 1, [True, 0, 0, 0]),
+    ("poly", "exponents", 1, [1.0, 0, 0, 0]),
+    ("poly", "d", None, 4.0),
+    ("poly", "d", None, 8.0),
+    ("rbf", "d", None, True),
+    ("poly", "d", None, 10 ** 30),
+    ("rbf", "d", None, 10 ** 30),
+    ("poly", "weights", 0, True),
+    ("rbf", "out_weights", 0, False),
+    ("poly", "weights", 0, functools.reduce(lambda v, _: [v], range(40), 0.5)),
 ], ids=["poly-text-weight", "poly-nan-weight", "poly-list-lambda",
         "rbf-nan-out-weight", "rbf-inf-bias", "rbf-text-width",
         "doc-string", "doc-number", "poly-overflowing-weight",
         "poly-fractional-d", "poly-fractional-k", "poly-zero-d", "poly-negative-lambda",
         "poly-nan-lambda", "poly-quoted-lambda", "poly-quoted-weight",
-        "poly-boolean-version", "rbf-boolean-bias", "rbf-quoted-width"])
+        "poly-boolean-version", "rbf-boolean-bias", "rbf-quoted-width",
+        "poly-boolean-exponent", "poly-float-exponent", "poly-float-d", "poly-float-d-8",
+        "rbf-boolean-d", "poly-huge-d", "rbf-huge-d", "poly-boolean-weight",
+        "rbf-boolean-out-weight", "poly-weight-nested-past-32-dims"])
 def test_forecast_bad_model_numbers_is_exit_3(tmp_path, capsys, kind, field,
                                               index, value):
     doc = model_doc(kind, tmp_path)

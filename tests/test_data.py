@@ -1,5 +1,6 @@
 """Ingestion, windowing, splitting and the synthetic generators."""
 
+import functools
 import hashlib
 import json
 import math
@@ -77,10 +78,19 @@ def test_timeseries_len():
     (np.array([True, False]), 1, "x must be numbers within float range"),
     ([1.0, None], None, "x must be numbers within float range"),
     (np.array([1.0, None], dtype=object), 1, "x must be numbers within float range"),
+    ([True, 0.5], 1, "x must be numbers within float range"),
+    ([[0.5, 1.0], [2.0, False]], 2, "x must be numbers within float range"),
+    ([np.True_, 2], None, "x must be numbers within float range"),
+    (np.array([True, 0.5], dtype=object), 1, "x must be numbers within float range"),
+    (functools.reduce(lambda v, _: [v], range(40), "1"), None,
+     "x must be numbers within float range"),
+    (functools.reduce(lambda v, _: [v], range(40), 0.5), 1, "x must be a non-empty 1-D array"),
 ], ids=["int-past-float", "int-past-float-entry", "ragged", "text", "not-a-number",
         "wrong-ndim", "empty", "inf-entry", "nan-entry-2-d", "none", "text-list", "text-array",
         "bytes-array", "text-in-object-array", "bool", "numpy-bool", "bool-array",
-        "none-in-list", "none-in-object-array"])
+        "none-in-list", "none-in-object-array", "bool-among-floats", "bool-in-nested-list",
+        "numpy-bool-among-ints", "bool-in-object-array",
+        "text-nested-past-32-dims", "nested-past-32-dims"])
 def test_float_array_refusals(values, ndim, message):
     with pytest.raises(ConfigError, match=message):
         float_array(values, "x", ndim=ndim, error=ConfigError)
@@ -112,7 +122,7 @@ _BASIS = poly.enumerate_monomials(1, 1)
 _SCALAR = {"int-past-float": 10 ** 400, "bool": True, "numpy-bool": np.True_, "none": None,
            "text": "0.5"}
 _ARRAY = {"int-past-float": [0.0, 10 ** 400], "bool-array": np.array([True, False]),
-          "none-in-list": [0.0, None]}
+          "none-in-list": [0.0, None], "bool-in-list": [0.5, True]}
 # every entry point that takes a caller's numbers: (error, the name its message
 # gives them, the bad values it is given, call given one)
 _NUMBER_CASES = {
@@ -683,17 +693,33 @@ def test_model_document_bytes_are_pinned(write, digest):
 
 
 def test_model_document_kind_and_arrays():
+    # the reader returns the fields as JSON gave them: the records they build
+    # check and convert the numbers
     text = rbf.to_json(_RBF_NET).replace('"bias": -0.0', '"bias": 0')
     kind, fields = read_model_document(text)
     assert kind == "an RBF"
-    assert fields["d"].dtype == np.int64 and fields["d"].shape == ()
-    assert fields["centers"].dtype == np.float64 and fields["centers"].shape == (3, 2)
-    assert fields["bias"].dtype == np.float64 and fields["bias"] == 0.0  # from JSON 0
+    assert fields == json.loads(text)
+    assert type(fields["d"]) is int and type(fields["centers"]) is list
+    assert type(fields["bias"]) is int  # from JSON 0
+    net = rbf.from_document(fields)
+    assert net.centers.dtype == np.float64 and net.centers.shape == (3, 2)
+    assert type(net.bias) is float and net.bias == 0.0
 
 
 def test_model_document_kind_is_marked_by_its_first_field():
-    text = json.dumps({"schema_version": 1, "weights": [1, 2]})
     with pytest.raises(DataError, match="neither a polynomial nor an RBF"):
-        read_model_document(text)
-    with pytest.raises(DataError, match="missing field 'exponents'"):
-        read_model_document(text, "a polynomial")
+        read_model_document(json.dumps({"schema_version": 1, "weights": [1, 2]}))
+    for marker, kind in (("exponents", "a polynomial"), ("centers", "an RBF")):
+        got, fields = read_model_document(json.dumps({"schema_version": 1, marker: []}))
+        assert got == kind
+        with pytest.raises(DataError, match="missing field 'weights'"):
+            fields["weights"]
+
+
+@pytest.mark.parametrize("read, write", [
+    (poly.from_json, lambda: rbf.to_json(_RBF_NET)),
+    (rbf.from_json, lambda: poly.to_json(_pc_model(2, 1, 0.0))),
+], ids=["pc-reads-rbf", "rbf-reads-pc"])
+def test_from_json_refuses_the_other_kind(read, write):
+    with pytest.raises(DataError, match="missing field"):
+        read(write())

@@ -122,6 +122,25 @@ def test_resolve_unknown_source_type():
         resolve_source({"kind": "walk", "n": 30})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SynthSource("walk", 30, params=None), "params must be a dict"),
+    (lambda: SynthSource("walk", 30, params=[("drift", 1)]), "params must be a dict"),
+    (lambda: SynthSource(["walk"], 30), r"unknown synthetic kind \['walk'\]"),
+    (lambda: CsvSource(path=None), "path must be a file path, got NoneType"),
+    (lambda: ExperimentConfig(source="x.csv"),
+     "source must be a CsvSource or SynthSource, got str"),
+    (lambda: ExperimentConfig(SynthSource("walk", 30), rbf_config=None),
+     "rbf_config must be an RbfTrainConfig, got NoneType"),
+    (lambda: ExperimentConfig(SynthSource("walk", 30), rbf_config={"units": 3}),
+     "rbf_config must be an RbfTrainConfig, got dict"),
+], ids=["params-none", "params-pairs", "kind-list", "csv-path-none", "source-text",
+        "rbf-config-none", "rbf-config-dict"])
+def test_a_record_of_the_wrong_type_is_refused_when_built(build, message):
+    with pytest.raises(ConfigError, match=message) as err:
+        build()
+    assert len(str(err.value).splitlines()) == 1
+
+
 def test_resolve_csv(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("v\n1.0\n2.0\n3.0\n", encoding="utf-8")

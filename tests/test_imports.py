@@ -77,16 +77,17 @@ FLOAT_DTYPE = re.compile(r"float|double|^['\"][fd]")
 
 
 def float_conversions(source: str) -> list[int]:
-    """Lines of np.asarray or np.array calls given a float dtype, outside a
-    function named float_array."""
+    """Lines of np.asarray or np.array calls, or of .astype calls on anything,
+    given a float dtype, outside a function named float_array."""
     found = []
 
     def visit(node, inside):
         inside = inside or isinstance(node, ast.FunctionDef) and node.name == "float_array"
         if (not inside and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("asarray", "array")
-                and getattr(node.func.value, "id", None) in ("np", "numpy")):
-            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+                and (node.func.attr == "astype" or node.func.attr in ("asarray", "array")
+                     and getattr(node.func.value, "id", None) in ("np", "numpy"))):
+            at = int(node.func.attr != "astype")  # astype takes the dtype first, np.array second
+            dtypes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "dtype"]
             if any(FLOAT_DTYPE.search(ast.unparse(dtype)) for dtype in dtypes):
                 found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
@@ -101,8 +102,9 @@ def test_scan_flags_a_float_conversion():
               "def float_array(v):\n    return np.asarray(v, dtype=np.float64)\n"
               "def check(v):\n    a = np.asarray(v, dtype=np.float64)\n"
               "    b = np.array(v, float)\n    c = np.asarray(v, dtype='f8')\n"
-              "    return np.asarray(v), np.array(v, dtype=np.intp), a, b, c\n")
-    assert float_conversions(source) == [5, 6, 7]
+              "    e = np.asarray(v, dtype=object).astype(np.float64)\n"
+              "    return np.asarray(v), np.array(v, dtype=np.intp), a, b, c, e, b.astype(int)\n")
+    assert float_conversions(source) == [5, 6, 7, 8]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
